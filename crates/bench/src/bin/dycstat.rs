@@ -46,7 +46,7 @@ use dyc::obs::{
     chrome_trace, contention, merge, parse_chrome_trace, render_metrics, site_profiles, Category,
     Event, Metric, SiteProfile,
 };
-use dyc::{Compiler, OptConfig, PolicyMode, SharedOptions};
+use dyc::{Compiler, OptConfig, PolicyMode};
 use dyc_bench::{cell, rule};
 use dyc_workloads::{all, by_name};
 use std::process::ExitCode;
@@ -186,11 +186,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         (d.trace_events(), dyn_total / reps)
     } else {
-        let shared = program.shared_runtime_with(SharedOptions {
-            trace: true,
-            native,
-            ..SharedOptions::default()
-        });
+        let shared = program.shared_runtime();
         let w = Arc::new(w);
         let handles: Vec<_> = (0..threads)
             .map(|_| {

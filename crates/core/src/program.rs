@@ -134,7 +134,7 @@ impl Program {
     }
 
     /// A thread-shared concurrent runtime with explicit [`SharedOptions`]
-    /// (shard count, miss policy, specialization budget).
+    /// (shard counts, miss policy, miss-latency histograms).
     pub fn shared_runtime_with(&self, opts: SharedOptions) -> Arc<SharedRuntime> {
         Arc::new(SharedRuntime::with_options(self.staged.clone(), opts))
     }

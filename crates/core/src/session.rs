@@ -138,8 +138,7 @@ impl Session {
     }
 
     /// Trace events recorded so far (oldest first), when the session was
-    /// built with [`OptConfig::trace`](dyc_bta::OptConfig) (or, for
-    /// threaded sessions, [`dyc_rt::SharedOptions::trace`]). Empty when
+    /// built with [`OptConfig::trace`](dyc_bta::OptConfig). Empty when
     /// tracing is off or the session is static.
     pub fn trace_events(&self) -> Vec<dyc_obs::Event> {
         match &self.exec {

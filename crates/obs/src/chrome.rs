@@ -216,11 +216,11 @@ mod tests {
         );
     }
 
-    /// Every kind added since the original exporter (warm-start loads
-    /// in PR 6, native installs/fallbacks in PR 7, the adaptive-policy
-    /// events in PR 8) must keep its exact wire name, category, and
-    /// phase — a rename or a missed `kind_for` arm would silently break
-    /// every dumped trace.
+    /// Every kind added since the original exporter (warm-start loads and
+    /// rejects, native installs/fallbacks, the adaptive-policy events,
+    /// single-flight races and generic-continuation builds) must keep its
+    /// exact wire name, category, and phase — a rename or a missed
+    /// `kind_for` arm would silently break every dumped trace.
     #[test]
     fn recent_kinds_are_pinned_on_the_wire() {
         use crate::event::Category;
@@ -234,6 +234,13 @@ mod tests {
                 EventKind::PolicyThrottle,
                 "policy-throttle",
                 Category::Policy,
+            ),
+            (EventKind::FlightRace, "flight-race", Category::Flight),
+            (EventKind::GenericBuild, "generic-build", Category::Spec),
+            (
+                EventKind::CacheWarmReject,
+                "cache-warm-reject",
+                Category::Cache,
             ),
         ];
         for &(kind, name, cat) in pinned {

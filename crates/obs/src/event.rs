@@ -72,6 +72,18 @@ pub enum EventKind {
     /// specializations never get re-dispatched; the generic
     /// continuation ran instead. `a` = the (site, key) dispatch count.
     PolicyThrottle,
+    /// Concurrent only: a miss found its key already published when it
+    /// reached the single-flight table (it lost the publication race)
+    /// and ran the winner's code — no specialization, wait or fallback.
+    FlightRace,
+    /// The site's generic continuation (unspecialized code for the
+    /// region, run by policy deferrals and single-flight fallbacks) was
+    /// compiled. At most once per site; no dynamic-compilation cycles.
+    GenericBuild,
+    /// A snapshot-bundle entry was rejected at warm-start: a stale or
+    /// corrupted fingerprint, a site mismatch, or bounded-capacity
+    /// surplus. The key re-specializes on its first dispatch.
+    CacheWarmReject,
 }
 
 /// Event categories — the `cat` field of the Chrome trace, and the
@@ -80,13 +92,14 @@ pub enum EventKind {
 pub enum Category {
     /// Dispatch hits and misses, all policies.
     Dispatch,
-    /// Single-flight waits and fallbacks.
+    /// Single-flight waits, fallbacks and lost publication races.
     Flight,
-    /// GE-executor (specialization) begin/end spans.
+    /// GE-executor (specialization) begin/end spans, native installs
+    /// and generic-continuation builds.
     Spec,
     /// Template copies and hole patches.
     Template,
-    /// Cache evictions and invalidations.
+    /// Cache evictions, invalidations and warm-start loads and rejects.
     Cache,
     /// Internal dynamic-to-static promotions.
     Promote,
@@ -134,6 +147,9 @@ impl EventKind {
             EventKind::PolicyDefer => "policy-defer",
             EventKind::PolicyPromote => "policy-promote",
             EventKind::PolicyThrottle => "policy-throttle",
+            EventKind::FlightRace => "flight-race",
+            EventKind::GenericBuild => "generic-build",
+            EventKind::CacheWarmReject => "cache-warm-reject",
         }
     }
 
@@ -144,15 +160,19 @@ impl EventKind {
             | EventKind::DispatchMiss
             | EventKind::DispatchUnchecked
             | EventKind::DispatchIndexed => Category::Dispatch,
-            EventKind::FlightWait | EventKind::FlightFallback => Category::Flight,
+            EventKind::FlightWait | EventKind::FlightFallback | EventKind::FlightRace => {
+                Category::Flight
+            }
             EventKind::GeExecBegin
             | EventKind::GeExecEnd
+            | EventKind::GenericBuild
             | EventKind::NativeInstall
             | EventKind::NativeFallback => Category::Spec,
             EventKind::TemplateCopy | EventKind::HolePatch => Category::Template,
-            EventKind::CacheEvict | EventKind::CacheInvalidate | EventKind::CacheWarmLoad => {
-                Category::Cache
-            }
+            EventKind::CacheEvict
+            | EventKind::CacheInvalidate
+            | EventKind::CacheWarmLoad
+            | EventKind::CacheWarmReject => Category::Cache,
             EventKind::Promotion => Category::Promote,
             EventKind::PolicyDefer | EventKind::PolicyPromote | EventKind::PolicyThrottle => {
                 Category::Policy
@@ -191,7 +211,7 @@ pub struct Event {
 }
 
 /// Every kind, in declaration order (test and exporter support).
-pub const ALL_KINDS: [EventKind; 19] = [
+pub const ALL_KINDS: [EventKind; 22] = [
     EventKind::DispatchHit,
     EventKind::DispatchMiss,
     EventKind::DispatchUnchecked,
@@ -211,6 +231,9 @@ pub const ALL_KINDS: [EventKind; 19] = [
     EventKind::PolicyDefer,
     EventKind::PolicyPromote,
     EventKind::PolicyThrottle,
+    EventKind::FlightRace,
+    EventKind::GenericBuild,
+    EventKind::CacheWarmReject,
 ];
 
 #[cfg(test)]
@@ -222,7 +245,7 @@ mod tests {
         let mut names: Vec<&str> = ALL_KINDS.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 19 kinds, but begin/end share "ge-exec".
+        // Every kind is named once, except that begin/end share "ge-exec".
         assert_eq!(names.len(), ALL_KINDS.len() - 1);
     }
 

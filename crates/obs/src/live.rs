@@ -638,12 +638,19 @@ mod tests {
     fn recorder_capture_merges_rings_while_writers_run() {
         let rec = Arc::new(FlightRecorder::new(1024));
         let stop = Arc::new(AtomicBool::new(false));
+        // Each writer records once and then meets the main thread here,
+        // so both rings are non-empty before any capture, however the
+        // threads are scheduled.
+        let started = Arc::new(std::sync::Barrier::new(3));
         let writers: Vec<_> = (0..2u32)
             .map(|t| {
                 let ring = rec.register(t);
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
-                    let mut n = 0u64;
+                    ring.record(EventKind::CacheEvict, 1, 0, 0, 0, 0);
+                    let mut n = 1u64;
+                    started.wait();
                     while !stop.load(Ordering::Relaxed) {
                         ring.record(EventKind::CacheEvict, 1, n, 0, 0, 0);
                         n += 1;
@@ -652,6 +659,7 @@ mod tests {
                 })
             })
             .collect();
+        started.wait();
         // Capture repeatedly mid-run: every capture must be readable
         // and time-ordered (torn slots skipped, not crashed on).
         for _ in 0..50 {

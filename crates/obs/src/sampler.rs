@@ -355,16 +355,18 @@ impl Sampler {
         let runner = Arc::clone(&shared);
         let interval = cfg.interval;
         let mut watchdog = cfg.watchdog.map(Watchdog::new);
+        // The baseline is taken here, before the thread exists: counts
+        // written between `spawn` returning and the thread's first
+        // scheduling then land in its first window instead of vanishing
+        // into the baseline.
+        let mut prev = shared.registry.snapshot();
         let handle = std::thread::Builder::new()
             .name("dyc-sampler".into())
-            .spawn(move || {
-                let mut prev = runner.registry.snapshot();
-                loop {
-                    let stopping = sleep_watching_stop(&runner.stop, interval);
-                    tick(&runner, &mut prev, &mut watchdog, stopping);
-                    if stopping {
-                        break;
-                    }
+            .spawn(move || loop {
+                let stopping = sleep_watching_stop(&runner.stop, interval);
+                tick(&runner, &mut prev, &mut watchdog, stopping);
+                if stopping {
+                    break;
                 }
             })
             .expect("spawn sampler thread");

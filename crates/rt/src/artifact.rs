@@ -25,15 +25,18 @@
 //! offsets, unit ids) ride as plain JSON numbers, which are exact below
 //! 2^53.
 
+use crate::policy::PolicyEngine;
 use crate::runtime::{Site, Store};
 use crate::sink::{fnv1a, CodeSink};
+use crate::stats::Sinks;
 use dyc_bta::OptConfig;
 use dyc_ir::{BlockId, VReg};
 use dyc_obs::json::escape;
-use dyc_obs::Json;
+use dyc_obs::{EventKind, Json};
 use dyc_stage::{SitePolicy, StagedProgram};
-use dyc_vm::{Cc, CodeFunc, FAluOp, HostFn, IAluOp, Instr, Operand, Reg, Ty, UnOp};
+use dyc_vm::{Cc, CodeFunc, FAluOp, FuncId, HostFn, IAluOp, Instr, Operand, Reg, Ty, UnOp};
 use std::fmt::Write as _;
+use std::ops::Deref;
 
 /// Version tag written into every artifact and bundle. Bump it whenever
 /// the wire format or the meaning of any serialized field changes; a
@@ -1094,6 +1097,117 @@ pub fn instr_from_json(j: &Json) -> Result<Instr, String> {
         }
         other => return Err(format!("unknown instruction tag '{other}'")),
     })
+}
+
+/// Serialize a runtime's dynamic-code cache: `sites` is its whole site
+/// table (entry sites first), `entries` every cached `(site, key, code)`
+/// binding. Shared by both runtimes' `snapshot_bundle`.
+pub(crate) fn snapshot<F: Deref<Target = CodeFunc>>(
+    staged: &StagedProgram,
+    sites: &[&Site],
+    entries: impl IntoIterator<Item = (u32, Vec<u64>, F)>,
+) -> CacheBundle {
+    let cfg = config_hash(&staged.cfg);
+    let prog = program_hash(staged);
+    let n_entry = staged.entry_sites.len();
+    let entries = entries
+        .into_iter()
+        .map(|(site, key, f)| {
+            let schema = sites[site as usize].key_vars.iter().map(|v| v.0).collect();
+            artifact_for_func(cfg, prog, site, key, schema, &f)
+        })
+        .collect();
+    CacheBundle {
+        version: ARTIFACT_VERSION,
+        config_hash: cfg,
+        program_hash: prog,
+        n_entry_sites: n_entry as u32,
+        sites: sites[n_entry..]
+            .iter()
+            .map(|s| SiteSpec::from_site(s))
+            .collect(),
+        entries,
+    }
+}
+
+/// The store-specific half of a warm start.
+pub(crate) trait WarmHost {
+    /// Register a restored internal promotion site. Restored sites are
+    /// not *new* promotions and are not metered as such.
+    fn add_site(&mut self, site: Site);
+    /// Bind one verified entry; `None` refuses it (a bounded site already
+    /// at capacity).
+    fn install(&mut self, art: &CodeArtifact) -> Option<FuncId>;
+}
+
+/// Warm-start a runtime from `bundle` — the verification described on
+/// [`Runtime::restore_bundle`](crate::Runtime::restore_bundle), shared by
+/// both runtimes; only [`WarmHost`] is store-specific. Every load and
+/// reject is noted; loaded keys are already proven, so the adaptive
+/// policy is seeded with them (they never defer, and re-specialize at
+/// once if ever evicted). Returns the `(site, function)` of every
+/// installed entry.
+pub(crate) fn restore(
+    staged: &StagedProgram,
+    bundle: &CacheBundle,
+    fresh: bool,
+    policy: Option<&PolicyEngine>,
+    host: &mut dyn WarmHost,
+    sinks: &mut Sinks<'_>,
+) -> Vec<(u32, FuncId)> {
+    let cfg = config_hash(&staged.cfg);
+    let prog = program_hash(staged);
+    let header_ok = bundle.version == ARTIFACT_VERSION
+        && bundle.config_hash == cfg
+        && bundle.program_hash == prog
+        && bundle.n_entry_sites as usize == staged.entry_sites.len()
+        && fresh;
+    // Internal sites must all be reconstructible before any is
+    // registered — a partial site table would shift every later id.
+    let internal: Option<Vec<Site>> = if header_ok {
+        bundle.sites.iter().map(|s| s.to_site().ok()).collect()
+    } else {
+        None
+    };
+    let Some(internal) = internal else {
+        for art in &bundle.entries {
+            sinks.note(EventKind::CacheWarmReject, art.site, &art.key, 0, 0, 0);
+        }
+        return Vec::new();
+    };
+    let schemas: Vec<Vec<u32>> = staged
+        .entry_sites
+        .iter()
+        .map(|e| e.key_vars.iter().map(|(v, _)| v.0).collect())
+        .chain(
+            internal
+                .iter()
+                .map(|s| s.key_vars.iter().map(|v| v.0).collect()),
+        )
+        .collect();
+    for site in internal {
+        host.add_site(site);
+    }
+    let mut installed = Vec::new();
+    for art in &bundle.entries {
+        let ok = schemas.get(art.site as usize) == Some(&art.key_schema)
+            && art.verify(cfg, prog).is_ok();
+        match ok.then(|| host.install(art)).flatten() {
+            Some(f) => {
+                if let Some(eng) = policy {
+                    let mut pkey = Vec::with_capacity(art.key.len() + 1);
+                    pkey.push(u64::from(art.site));
+                    pkey.extend_from_slice(&art.key);
+                    eng.seed_promoted(pkey);
+                }
+                let len = art.code.len() as u64;
+                sinks.note(EventKind::CacheWarmLoad, art.site, &art.key, 0, len, 0);
+                installed.push((art.site, f));
+            }
+            None => sinks.note(EventKind::CacheWarmReject, art.site, &art.key, 0, 0, 0),
+        }
+    }
+    installed
 }
 
 /// Wrap an already-installed [`CodeFunc`] as a single-unit artifact —

@@ -1,19 +1,24 @@
 //! Concurrent dispatch: a sharded, `Arc`-shared code cache with
 //! single-flight specialization and bounded eviction.
 //!
-//! The single-threaded [`Runtime`](crate::Runtime) owns its caches and
-//! module outright; this module makes the same staged pipeline safely
-//! callable from many threads:
+//! The single-threaded [`Runtime`](crate::Runtime) is the dispatch core
+//! ([`crate::dispatch`]) over a private [`LocalStore`](crate::runtime::LocalStore);
+//! this module supplies the second code store, which makes the same
+//! protocol safely callable from many threads:
 //!
 //! * **[`SharedRuntime`]** holds everything immutable or lock-guarded that
 //!   threads share: the staged program, the [`ShardedCache`] mapping
 //!   `(site, key)` to published code, an append-only site table (internal
 //!   promotion sites discovered by any thread become visible to all), an
-//!   append-only code registry, and the single-flight wait-map.
-//! * **[`ThreadRuntime`]** is one thread's [`DispatchHandler`]: it owns a
-//!   private [`Module`] replica and [`Vm`], so *execution* never takes a
-//!   lock — only dispatch lookups touch the shared cache, and a
-//!   steady-state hit is one shard read-lock with zero allocations.
+//!   append-only code registry, the single-flight wait-map, and the
+//!   global meters.
+//! * **[`SharedStore`]** is one thread's view of it, and
+//!   **[`ThreadRuntime`]** the dispatch core over that view: one thread's
+//!   [`DispatchHandler`](dyc_vm::DispatchHandler). The thread owns a
+//!   private [`Module`] replica and [`Vm`](dyc_vm::Vm), so *execution*
+//!   never takes a lock — only dispatch lookups touch the shared cache,
+//!   and a steady-state hit is one shard read-lock with zero
+//!   allocations.
 //! * **Single-flight**: exactly one thread runs the GE executor per
 //!   `(site, key)`. Racers either block on the winner's `Flight`
 //!   ([`MissPolicy::Block`]) or immediately run a *generic continuation*
@@ -64,18 +69,17 @@
 //! assert_eq!(shared.stats().specializations, 1);
 //! ```
 
-use crate::artifact::{self, CacheBundle, SiteSpec, ARTIFACT_VERSION};
+use crate::artifact::{self, CacheBundle, CodeArtifact, WarmHost};
 use crate::cache::{DoubleHashCache, Probed};
-use crate::costs::DynCosts;
-use crate::ge_exec::{GeExecutor, SpecEnv, SpecHost};
-use crate::native::{exec_entry, lower_func, NativeArtifact, NativeDispatch, NativeEngine};
-use crate::policy::{PolicyDecision, PolicyEngine, PolicyParams};
-use crate::runtime::{Site, Store};
-use crate::stats::RtStats;
+use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane};
+use crate::ge_exec::SpecHost;
+use crate::policy::{PolicyEngine, PolicyParams};
+use crate::runtime::Site;
+use crate::stats::{ConcStats, Counter, RtStats, Sinks};
 use dyc_bta::PolicyMode;
-use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, LiveMetric, LiveThread, Trace};
+use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, Trace};
 use dyc_stage::{SitePolicy, StagedProgram};
-use dyc_vm::{CodeFunc, DispatchHandler, DispatchOutcome, FuncId, Module, Value, Vm, VmError};
+use dyc_vm::{CodeFunc, FuncId, Module, VmError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -415,7 +419,7 @@ impl SiteEntry {
 /// One in-flight specialization: racers park on the condvar until the
 /// winner resolves it with the published global id (or the error).
 #[derive(Debug)]
-struct Flight {
+pub(crate) struct Flight {
     state: Mutex<Option<Result<u32, String>>>,
     cv: Condvar,
 }
@@ -483,26 +487,6 @@ impl FlightMap {
     fn n_shards(&self) -> usize {
         self.shards.len()
     }
-}
-
-/// Atomic global meters (per-thread meters live in each
-/// [`ThreadRuntime`]'s [`RtStats`]).
-#[derive(Debug, Default)]
-struct ConcStats {
-    specializations: AtomicU64,
-    single_flight_waits: AtomicU64,
-    single_flight_fallbacks: AtomicU64,
-    single_flight_races: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_invalidations: AtomicU64,
-    generic_continuations: AtomicU64,
-    cache_warm_loads: AtomicU64,
-    cache_warm_rejects: AtomicU64,
-    native_installs: AtomicU64,
-    native_fallbacks: AtomicU64,
-    policy_defers: AtomicU64,
-    policy_promotes: AtomicU64,
-    policy_throttled: AtomicU64,
 }
 
 /// Plain snapshot of the shared runtime's meters.
@@ -573,7 +557,10 @@ impl ConcSnapshot {
     }
 }
 
-/// Construction options for [`SharedRuntime`].
+/// Construction options for [`SharedRuntime`]. Tracing, the native
+/// backend and the adaptive policy are the staged program's
+/// [`OptConfig`](dyc_bta::OptConfig) flags (`trace`, `native`, `policy`),
+/// exactly as for the single-threaded [`Runtime`](crate::Runtime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedOptions {
     /// Shard count for the code cache (rounded up to a power of two).
@@ -602,29 +589,6 @@ pub struct SharedOptions {
     /// Off by default: the hit path is untouched either way, but each
     /// miss pays two clock reads.
     pub latency: bool,
-    /// Specialization instruction budget (guards non-terminating static
-    /// loops), per specialization.
-    pub spec_budget: u64,
-    /// Give every [`ThreadRuntime`] a cycle-stamped event recorder (see
-    /// [`dyc_obs`]). Purely observational: enabling it changes no
-    /// results, no published code bytes, and no [`RtStats`] counters.
-    /// Also switched on by [`OptConfig::trace`](dyc_bta::OptConfig) on
-    /// the staged program's config.
-    pub trace: bool,
-    /// Lower materialized specializations to native x86-64 machine code
-    /// (each thread owns its own executable arena) and run them instead
-    /// of interpreting. Also switched on by
-    /// [`OptConfig::native`](dyc_bta::OptConfig) on the staged program's
-    /// config. A no-op on platforms without the native backend.
-    pub native: bool,
-    /// When to specialize a dispatched (site, key):
-    /// [`PolicyMode::Always`] (the default — specialize on first miss,
-    /// today's behavior exactly) or [`PolicyMode::Adaptive`] (count
-    /// dispatches and defer below the per-site break-even; see
-    /// [`crate::policy`]). Also switched on by
-    /// [`OptConfig::policy`](dyc_bta::OptConfig) on the staged
-    /// program's config.
-    pub policy: PolicyMode,
 }
 
 impl Default for SharedOptions {
@@ -634,10 +598,6 @@ impl Default for SharedOptions {
             flight_shards: 0,
             miss_policy: MissPolicy::Block,
             latency: false,
-            spec_budget: 4_000_000,
-            trace: false,
-            native: false,
-            policy: PolicyMode::Always,
         }
     }
 }
@@ -659,7 +619,6 @@ fn resolve_shards(n: usize) -> usize {
 /// protocol.
 pub struct SharedRuntime {
     staged: StagedProgram,
-    costs: DynCosts,
     opts: SharedOptions,
     /// The statically compiled module every thread replica starts from;
     /// global code ids below `base_len` are base functions with the same
@@ -678,7 +637,8 @@ pub struct SharedRuntime {
     registry: RwLock<Vec<Arc<CodeFunc>>>,
     /// Single-flight wait-map, keyed (and sharded) like the cache.
     inflight: FlightMap,
-    stats: ConcStats,
+    /// Global meters, shared with every thread handler.
+    stats: Arc<ConcStats>,
     /// Adaptive specialization policy, `None` in `Always` mode (the
     /// default). Consulted only on the miss path; see [`crate::policy`].
     policy: Option<PolicyEngine>,
@@ -702,18 +662,14 @@ impl std::fmt::Debug for SharedRuntime {
     }
 }
 
-/// [`SpecHost`] that appends internal promotion sites to the shared site
-/// table, making them visible to every thread.
-struct SharedSiteHost<'a> {
-    shared: &'a SharedRuntime,
-}
-
-impl SpecHost for SharedSiteHost<'_> {
+/// Site-table host over the shared runtime: internal promotion sites
+/// found by any thread are appended to the shared table, visible to all.
+impl SpecHost for &SharedRuntime {
     fn add_site(&mut self, mut site: Site) -> u32 {
         site.precompute_layout();
-        let mut sites = self.shared.sites.write().unwrap();
+        let mut sites = self.sites.write().unwrap();
         let id = sites.len() as u32;
-        sites.push(Arc::new(SiteEntry::new(site, self.shared.cap_growth())));
+        sites.push(Arc::new(SiteEntry::new(site, self.cap_growth())));
         id
     }
 }
@@ -728,51 +684,33 @@ impl SharedRuntime {
     /// Build the shared runtime with explicit [`SharedOptions`].
     pub fn with_options(staged: StagedProgram, opts: SharedOptions) -> SharedRuntime {
         let base_module = staged.build_module();
-        let base_len = base_module.len();
-        let adaptive =
-            opts.policy == PolicyMode::Adaptive || staged.cfg.policy == PolicyMode::Adaptive;
-        let policy = adaptive.then(|| PolicyEngine::new(PolicyParams::default()));
-        let cap_growth = policy
-            .as_ref()
-            .map_or(1, |e| e.params().cap_growth_limit.max(1));
-        let mut sites = Vec::new();
-        for (i, e) in staged.entry_sites.iter().enumerate() {
-            let mut site = Site {
-                func: e.func,
-                block: e.block,
-                inst_idx: e.inst_idx,
-                base_store: Store::new(),
-                key_vars: e.key_vars.iter().map(|(v, _)| *v).collect(),
-                arg_vars: e.arg_vars.clone(),
-                policy: e.policy,
-                division: staged.ge.entry_divisions[i],
-                key_pos: Vec::new(),
-                dyn_pos: Vec::new(),
-            };
-            site.precompute_layout();
-            sites.push(Arc::new(SiteEntry::new(site, cap_growth)));
-        }
+        let policy = (staged.cfg.policy == PolicyMode::Adaptive)
+            .then(|| PolicyEngine::new(PolicyParams::default()));
         let cache_shards = resolve_shards(opts.shards);
         let flight_shards = if opts.flight_shards == 0 {
             cache_shards
         } else {
             opts.flight_shards
         };
-        SharedRuntime {
+        let shared = SharedRuntime {
             cache: ShardedCache::new(cache_shards),
-            costs: DynCosts::calibrated(),
             opts,
+            base_len: base_module.len(),
             base_module,
-            base_len,
-            sites: RwLock::new(sites),
+            sites: RwLock::new(Vec::new()),
             registry: RwLock::new(Vec::new()),
             inflight: FlightMap::new(flight_shards),
-            stats: ConcStats::default(),
+            stats: Arc::default(),
             policy,
             next_thread: AtomicU32::new(0),
             live: RwLock::new(None),
             staged,
+        };
+        for i in 0..shared.staged.entry_sites.len() {
+            let site = Site::entry(&shared.staged, i);
+            SpecHost::add_site(&mut &shared, site);
         }
+        shared
     }
 
     /// Attach live-telemetry handles: every [`ThreadRuntime`] created
@@ -805,14 +743,10 @@ impl SharedRuntime {
     }
 
     /// A fresh per-thread dispatch handler. Pair it with
-    /// [`SharedRuntime::base_module`] and the thread's own [`Vm`].
+    /// [`SharedRuntime::base_module`] and the thread's own
+    /// [`Vm`](dyc_vm::Vm).
     pub fn thread(shared: &Arc<SharedRuntime>) -> ThreadRuntime {
         let tid = shared.next_thread.fetch_add(1, Ordering::Relaxed);
-        let trace = if shared.opts.trace || shared.staged.cfg.trace {
-            Trace::on(tid)
-        } else {
-            Trace::off()
-        };
         let miss_hist = shared
             .opts
             .latency
@@ -823,17 +757,13 @@ impl SharedRuntime {
             .unwrap()
             .as_ref()
             .map(|h| Box::new(h.thread(tid)));
-        ThreadRuntime {
+        let store = SharedStore {
             shared: Arc::clone(shared),
-            stats: RtStats::new(),
-            scratch_key: Vec::new(),
             local_ids: Vec::new(),
             site_cache: Vec::new(),
-            trace,
-            native: NativeEngine::new(),
-            miss_hist,
-            live,
-        }
+        };
+        let global = Some(Arc::clone(&shared.stats));
+        Dispatcher::with_store(store, tid, miss_hist, live, global)
     }
 
     /// A fresh copy of the statically compiled base module for a thread
@@ -885,6 +815,54 @@ impl SharedRuntime {
         Arc::clone(&self.registry.read().unwrap()[gid as usize - self.base_len])
     }
 
+    /// Append `code` to the registry; returns its global id.
+    fn publish_code(&self, code: CodeFunc) -> u32 {
+        let mut reg = self.registry.write().unwrap();
+        let gid = (self.base_len + reg.len()) as u32;
+        reg.push(Arc::new(code));
+        gid
+    }
+
+    /// Bind `key` to published code `gid` in the cache, admitting it to a
+    /// bounded site's clock first. Returns the key the clock evicted to
+    /// make room, with the slot it freed.
+    fn bind(&self, entry: &SiteEntry, key: &[u64], gid: u32) -> Option<(Vec<u64>, u32)> {
+        let (clock_idx, evicted) = match &entry.evict {
+            Some(ev) => {
+                let (slot, old) = ev.admit(key);
+                if let Some(old) = &old {
+                    // Outside the clock mutex: see `admit` docs.
+                    self.cache.remove(old);
+                }
+                (slot, old.map(|old| (old, slot)))
+            }
+            None => (0, None),
+        };
+        self.cache.insert(key.to_vec(), CacheVal { gid, clock_idx });
+        evicted
+    }
+
+    /// Meter an event of the shared runtime itself, outside any thread
+    /// handler: only the global meters see it.
+    fn global_sinks<R>(&self, f: impl FnOnce(&mut Sinks<'_>) -> R) -> R {
+        let (mut stats, mut trace) = (RtStats::new(), Trace::off());
+        f(&mut Sinks {
+            stats: &mut stats,
+            trace: &mut trace,
+            live: None,
+            global: Some(&*self.stats),
+        })
+    }
+
+    /// Unbind every specialization cached at `point`.
+    fn purge(&self, point: u32) {
+        self.cache.purge_prefix(u64::from(point));
+        let entry = self.sites.read().unwrap().get(point as usize).cloned();
+        if let Some(ev) = entry.as_ref().and_then(|e| e.evict.as_ref()) {
+            ev.reset();
+        }
+    }
+
     /// Drop every specialization cached at `point`, exactly like
     /// [`Runtime::invalidate_site`](crate::Runtime::invalidate_site). The
     /// next dispatch through the site re-specializes; published code is
@@ -894,16 +872,8 @@ impl SharedRuntime {
     /// specialization's binding appear after the purge — that binding is
     /// freshly generated code, not stale code.
     pub fn invalidate_site(&self, point: u32) {
-        self.stats
-            .cache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
-        self.cache.purge_prefix(u64::from(point));
-        let entry = self.sites.read().unwrap().get(point as usize).cloned();
-        if let Some(e) = entry {
-            if let Some(ev) = &e.evict {
-                ev.reset();
-            }
-        }
+        self.purge(point);
+        self.global_sinks(|s| s.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0));
     }
 
     /// Snapshot of every `(site, key, global id)` binding currently
@@ -924,955 +894,260 @@ impl SharedRuntime {
     /// call while threads run, though a bundle snapshotted mid-burst
     /// simply misses in-flight specializations.
     pub fn snapshot_bundle(&self) -> CacheBundle {
-        let cfg = artifact::config_hash(&self.staged.cfg);
-        let prog = artifact::program_hash(&self.staged);
-        let n_entry = self.staged.entry_sites.len();
         let guard = self.sites.read().unwrap();
-        let sites = guard[n_entry..]
-            .iter()
-            .map(|e| SiteSpec::from_site(&e.site))
-            .collect();
+        let sites: Vec<&Site> = guard.iter().map(|e| &e.site).collect();
         let entries = self
             .cache_snapshot()
             .into_iter()
-            .map(|(site, key, gid)| {
-                let schema = guard[site as usize]
-                    .site
-                    .key_vars
-                    .iter()
-                    .map(|v| v.0)
-                    .collect();
-                artifact::artifact_for_func(cfg, prog, site, key, schema, &self.code(gid))
-            })
-            .collect();
-        CacheBundle {
-            version: ARTIFACT_VERSION,
-            config_hash: cfg,
-            program_hash: prog,
-            n_entry_sites: n_entry as u32,
-            sites,
-            entries,
-        }
+            .map(|(site, key, gid)| (site, key, self.code(gid)));
+        artifact::snapshot(&self.staged, &sites, entries)
     }
 
-    /// Warm-start the shared runtime from a snapshot bundle, mirroring
-    /// [`Runtime::restore_bundle`](crate::Runtime::restore_bundle): the
-    /// header's `(version, config-hash, program-hash)` triple and site
-    /// layout must match and the runtime must be fresh (nothing
-    /// published or promoted yet), else every entry is rejected; each
-    /// entry then re-verifies its own triple and site binding. Accepted
-    /// code is published to the registry and bound in the sharded cache
-    /// — threads spawned afterwards hit it on their first dispatch.
-    /// Rejections and loads are metered in [`ConcSnapshot`]
+    /// Warm-start the shared runtime from a snapshot bundle, with the
+    /// same verification as
+    /// [`Runtime::restore_bundle`](crate::Runtime::restore_bundle) (the
+    /// runtime must be fresh: nothing published or promoted yet).
+    /// Accepted code is published to the registry and bound in the
+    /// sharded cache — threads spawned afterwards hit it on their first
+    /// dispatch. Rejections and loads are metered in [`ConcSnapshot`]
     /// (`cache_warm_rejects` / `cache_warm_loads`); nothing panics.
     pub fn restore_bundle(&self, bundle: &CacheBundle) {
-        let expect_cfg = artifact::config_hash(&self.staged.cfg);
-        let expect_prog = artifact::program_hash(&self.staged);
         let fresh = self.n_sites() == self.staged.entry_sites.len() && self.published() == 0;
-        let header_ok = bundle.version == ARTIFACT_VERSION
-            && bundle.config_hash == expect_cfg
-            && bundle.program_hash == expect_prog
-            && bundle.n_entry_sites as usize == self.staged.entry_sites.len()
-            && fresh;
-        let internal: Option<Vec<Site>> = if header_ok {
-            bundle.sites.iter().map(|s| s.to_site().ok()).collect()
-        } else {
-            None
-        };
-        let Some(internal) = internal else {
-            self.stats
-                .cache_warm_rejects
-                .fetch_add(bundle.entries.len() as u64, Ordering::Relaxed);
-            return;
-        };
-        {
-            let mut host = SharedSiteHost { shared: self };
-            for site in internal {
-                host.add_site(site);
-            }
-        }
-        let guard = self.sites.read().unwrap();
-        for art in &bundle.entries {
-            let entry = guard.get(art.site as usize);
-            let site_ok = entry.is_some_and(|e| {
-                art.key_schema == e.site.key_vars.iter().map(|v| v.0).collect::<Vec<_>>()
-            });
-            if art.verify(expect_cfg, expect_prog).is_err() || !site_ok {
-                self.stats
-                    .cache_warm_rejects
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let entry = entry.expect("checked above");
-            let mut full_key = Vec::with_capacity(art.key.len() + 1);
-            full_key.push(u64::from(art.site));
-            full_key.extend_from_slice(&art.key);
-            let clock_idx = match &entry.evict {
-                Some(ev) => {
-                    if ev.at_capacity() {
-                        self.stats
-                            .cache_warm_rejects
-                            .fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let (ci, evicted) = ev.admit(&full_key);
-                    if let Some(old) = evicted {
-                        self.cache.remove(&old);
-                    }
-                    ci
-                }
-                None => 0,
-            };
-            let gid = {
-                let mut reg = self.registry.write().unwrap();
-                let gid = (self.base_len + reg.len()) as u32;
-                reg.push(Arc::new(art.to_func()));
-                gid
-            };
-            if let Some(eng) = &self.policy {
-                // Restored entries are already-proven keys: seed the
-                // engine so they never defer and re-specialize
-                // immediately if ever evicted.
-                eng.seed_promoted(full_key.clone());
-            }
-            self.cache.insert(full_key, CacheVal { gid, clock_idx });
-            self.stats.cache_warm_loads.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut host = self;
+        self.global_sinks(|sinks| {
+            let policy = self.policy.as_ref();
+            artifact::restore(&self.staged, bundle, fresh, policy, &mut host, sinks)
+        });
     }
 
     /// Snapshot of the global meters.
     pub fn stats(&self) -> ConcSnapshot {
+        let g = |c| self.stats.get(c);
         ConcSnapshot {
-            specializations: self.stats.specializations.load(Ordering::Relaxed),
-            single_flight_waits: self.stats.single_flight_waits.load(Ordering::Relaxed),
-            single_flight_fallbacks: self.stats.single_flight_fallbacks.load(Ordering::Relaxed),
-            single_flight_races: self.stats.single_flight_races.load(Ordering::Relaxed),
-            cache_evictions: self.stats.cache_evictions.load(Ordering::Relaxed),
-            cache_invalidations: self.stats.cache_invalidations.load(Ordering::Relaxed),
-            generic_continuations: self.stats.generic_continuations.load(Ordering::Relaxed),
-            cache_warm_loads: self.stats.cache_warm_loads.load(Ordering::Relaxed),
-            cache_warm_rejects: self.stats.cache_warm_rejects.load(Ordering::Relaxed),
-            native_installs: self.stats.native_installs.load(Ordering::Relaxed),
-            native_fallbacks: self.stats.native_fallbacks.load(Ordering::Relaxed),
-            policy_defers: self.stats.policy_defers.load(Ordering::Relaxed),
-            policy_promotes: self.stats.policy_promotes.load(Ordering::Relaxed),
-            policy_throttled: self.stats.policy_throttled.load(Ordering::Relaxed),
+            specializations: g(Counter::Specializations),
+            single_flight_waits: g(Counter::FlightWaits),
+            single_flight_fallbacks: g(Counter::FlightFallbacks),
+            single_flight_races: g(Counter::FlightRaces),
+            cache_evictions: g(Counter::Evictions),
+            cache_invalidations: g(Counter::Invalidations),
+            generic_continuations: g(Counter::GenericContinuations),
+            cache_warm_loads: g(Counter::WarmLoads),
+            cache_warm_rejects: g(Counter::WarmRejects),
+            native_installs: g(Counter::NativeInstalls),
+            native_fallbacks: g(Counter::NativeFallbacks),
+            policy_defers: g(Counter::PolicyDefers),
+            policy_promotes: g(Counter::PolicyPromotes),
+            policy_throttled: g(Counter::PolicyThrottles),
             published: self.registry.read().unwrap().len() as u64,
             shards: self.cache.meters(),
         }
     }
 
-    /// The global id of `entry`'s generic continuation, compiling and
-    /// publishing it on first use. The continuation is ordinary
-    /// unspecialized code (annotations vanish, the site's baked static
-    /// context is materialized as constants), so it is charged like
-    /// statically compiled code — no dynamic-compilation cycles.
-    fn generic_continuation(&self, entry: &SiteEntry) -> u32 {
+    /// The global id of `point`'s generic continuation, and whether this
+    /// call compiled and published it (at most one call per site does).
+    fn generic_continuation(&self, point: u32) -> (u32, bool) {
+        let entry = Arc::clone(&self.sites.read().unwrap()[point as usize]);
         let mut slot = entry.fallback.lock().unwrap();
         if let Some(g) = *slot {
-            return g;
+            return (g, false);
         }
-        let site = &entry.site;
-        let consts: Vec<_> = site.base_store.iter().map(|(v, val)| (*v, *val)).collect();
-        let cf = dyc_ir::codegen::codegen_region_generic(
-            &self.staged.ir.funcs[site.func],
-            site.block,
-            site.inst_idx,
-            &site.arg_vars,
-            &consts,
-        );
-        let gid = {
-            let mut reg = self.registry.write().unwrap();
-            let gid = (self.base_len + reg.len()) as u32;
-            reg.push(Arc::new(cf));
-            gid
-        };
-        self.stats
-            .generic_continuations
-            .fetch_add(1, Ordering::Relaxed);
+        let gid = self.publish_code(entry.site.generic_code(&self.staged));
         *slot = Some(gid);
-        gid
+        (gid, true)
     }
 }
 
-/// Outcome of the single-flight miss path.
-enum MissResult {
-    /// Specialized code (winner's own, or the winner we waited for).
-    Spec(u32),
-    /// The generic continuation — invoked with the *full* dispatch
-    /// arguments, not the dynamic subset.
-    Generic(u32),
+impl WarmHost for &SharedRuntime {
+    fn add_site(&mut self, site: Site) {
+        SpecHost::add_site(self, site);
+    }
+
+    fn install(&mut self, art: &CodeArtifact) -> Option<FuncId> {
+        let entry = Arc::clone(&self.sites.read().unwrap()[art.site as usize]);
+        // Surplus beyond a bounded site's capacity is rejected, not
+        // admitted at the expense of entries just restored.
+        if entry.evict.as_ref().is_some_and(EvictCtl::at_capacity) {
+            return None;
+        }
+        let mut key = Vec::with_capacity(art.key.len() + 1);
+        key.push(u64::from(art.site));
+        key.extend_from_slice(&art.key);
+        let gid = self.publish_code(art.to_func());
+        self.bind(&entry, &key, gid);
+        Some(FuncId(gid))
+    }
 }
 
-/// One thread's dispatch handler over a [`SharedRuntime`]. Owns the
-/// thread-local state — per-thread [`RtStats`], the reusable key buffer,
-/// and the lazy map from global code ids to this thread's module-local
-/// [`FuncId`]s — so the steady-state hit path takes one shard read-lock
-/// and performs no heap allocation.
+/// One thread's view of a [`SharedRuntime`]: the code store a
+/// [`ThreadRuntime`] dispatches against. It owns the thread-local state —
+/// the lazy map from global code ids to the thread's module-local
+/// [`FuncId`]s and a prefix of the site table — so the steady-state hit
+/// path takes one shard read-lock and performs no heap allocation.
 #[derive(Debug)]
-pub struct ThreadRuntime {
+pub struct SharedStore {
     shared: Arc<SharedRuntime>,
-    /// This thread's run-time meters. `specializations` counts only
-    /// specializations this thread won; the global total lives in
-    /// [`SharedRuntime::stats`].
-    pub stats: RtStats,
-    scratch_key: Vec<u64>,
     /// Global registry id − `base_len` → this thread's local [`FuncId`],
     /// filled on first use.
     local_ids: Vec<Option<FuncId>>,
     /// Locally cached prefix of the shared site table (append-only, so a
     /// prefix is never stale).
     site_cache: Vec<Arc<SiteEntry>>,
-    /// This thread's event recorder ([`Trace::off`] unless
-    /// [`SharedOptions::trace`] or the staged config's `trace` flag is
-    /// set). Recording never touches [`RtStats`], published code, or
-    /// results; drain it with [`Trace::events`] after the run.
-    pub trace: Trace,
-    /// This thread's native x86-64 engine. Each thread owns its own
-    /// executable arena (mirroring the private module replica), keyed by
-    /// the thread-local [`FuncId`]s from [`ThreadRuntime::materialize`].
-    /// Inert on platforms without the backend.
-    native: NativeEngine,
-    /// Miss-path latency histogram, present when
-    /// [`SharedOptions::latency`] is set. Boxed so the (cold) miss
-    /// path's bookkeeping doesn't bloat the handler the hit path walks.
-    miss_hist: Option<Box<LatencyHistogram>>,
-    /// This thread's live-telemetry handle, present when the shared
-    /// runtime had handles attached ([`SharedRuntime::attach_live`])
-    /// before this thread was created. The warm path pays one `None`
-    /// branch when telemetry is off and two relaxed atomic adds when on.
-    live: Option<Box<LiveThread>>,
 }
 
-impl ThreadRuntime {
-    /// The shared runtime this handler dispatches against.
-    pub fn shared(&self) -> &Arc<SharedRuntime> {
-        &self.shared
+impl CodeStore for SharedStore {
+    /// A global registry id.
+    type Code = u32;
+    type Vacancy = ();
+    /// The flight this thread resolves once it publishes.
+    type Ticket = Arc<Flight>;
+
+    fn staged(&self) -> &StagedProgram {
+        &self.shared.staged
     }
 
-    /// This thread's miss-path latency histogram, when
-    /// [`SharedOptions::latency`] was set: one sample per dispatch miss,
-    /// wall nanoseconds from miss detection to runnable code. Merge the
-    /// per-thread histograms ([`LatencyHistogram::merge`]) for whole-run
-    /// percentiles.
-    pub fn miss_latency(&self) -> Option<&LatencyHistogram> {
-        self.miss_hist.as_deref()
-    }
-
-    /// [`SharedRuntime::invalidate_site`], recorded in this thread's
-    /// trace (the shared method is `&self` and has no recorder).
-    pub fn invalidate_site(&mut self, point: u32) {
-        self.shared.invalidate_site(point);
-        self.trace
-            .rec(EventKind::CacheInvalidate, point, 0, 0, 0, 0);
-    }
-
-    /// Native backend gate: [`SharedOptions::native`] or the staged
-    /// config's `native` flag.
-    fn native_on(&self) -> bool {
-        self.shared.opts.native || self.shared.staged.cfg.native
-    }
-
-    /// Hand a lowered artifact to this thread's native engine, metering
-    /// the outcome locally and globally.
-    fn install_native(&mut self, point: u32, fid: FuncId, art: Option<NativeArtifact>) {
-        match self.native.install(fid, art) {
-            Some(len) => {
-                self.stats.native_installs += 1;
-                self.shared
-                    .stats
-                    .native_installs
-                    .fetch_add(1, Ordering::Relaxed);
-                self.trace
-                    .rec(EventKind::NativeInstall, point, 0, 0, len as u64, 0);
-                self.live_event(EventKind::NativeInstall, point, &[], 0, len as u64, 0);
-            }
-            None => {
-                self.stats.native_fallbacks += 1;
-                self.shared
-                    .stats
-                    .native_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.trace.rec(EventKind::NativeFallback, point, 0, 0, 0, 0);
-                self.live_event(EventKind::NativeFallback, point, &[], 0, 0, 0);
-            }
-        }
-    }
-
-    /// Native fast path for an invocation tail: when `fid` has an
-    /// installed machine-code entry, run it here and hand the
-    /// interpreter a completed result. Charges nothing to the cycle
-    /// model.
-    fn finish_invoke(
-        &mut self,
-        fid: FuncId,
-        out_args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        if let Some(entry) = self.native.entry(fid) {
-            let value = exec_entry(&entry, out_args, self, module, vm)?;
-            return Ok(DispatchOutcome::Completed { value });
-        }
-        Ok(DispatchOutcome::Invoke { func: fid })
-    }
-
-    /// Bump a live counter by one (no-op without attached telemetry).
     #[inline]
-    fn live_bump(&self, m: LiveMetric) {
-        if let Some(l) = &self.live {
-            l.slot.add(m, 1);
-        }
+    fn policy(&self) -> Option<&PolicyEngine> {
+        self.shared.policy.as_ref()
     }
 
-    /// Record a cold-path event into this thread's flight ring, hashing
-    /// the key words only when a ring is attached. Always additional to
-    /// (never instead of) the `Trace` recorder, so tracing semantics are
-    /// unchanged whether or not telemetry is on.
+    /// Refreshes the local prefix from the shared table only when `point`
+    /// is beyond it (another thread registered a new promotion site).
     #[inline]
-    fn live_event(
-        &self,
-        kind: EventKind,
-        site: u32,
-        key_words: &[u64],
-        cycle: u64,
-        a: u64,
-        b: u64,
-    ) {
-        if let Some(l) = &self.live {
-            if let Some(ring) = &l.ring {
-                ring.record(kind, site, dyc_obs::key_hash(key_words), cycle, a, b);
-            }
-        }
-    }
-
-    fn charge(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dyncomp_cycles += cycles;
-        vm.stats.dyncomp_cycles += cycles;
-    }
-
-    fn charge_dispatch(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dispatch_cycles += cycles;
-        vm.stats.dispatch_cycles += cycles;
-    }
-
-    /// The site entry for `point`, refreshing the local prefix from the
-    /// shared table only when `point` is beyond it (i.e. another thread
-    /// registered a new internal promotion site).
-    fn site_entry(&mut self, point: u32) -> Arc<SiteEntry> {
+    fn site(&mut self, point: u32) -> &Site {
         if point as usize >= self.site_cache.len() {
             let sites = self.shared.sites.read().unwrap();
             let have = self.site_cache.len();
             self.site_cache.extend(sites[have..].iter().cloned());
         }
-        Arc::clone(&self.site_cache[point as usize])
+        &self.site_cache[point as usize].site
     }
 
-    /// Copy published code `gid` into this thread's module on first use;
-    /// base-module ids map to themselves. `point` tags the native-install
-    /// trace event.
-    fn materialize(&mut self, point: u32, gid: u32, module: &mut Module, vm: &mut Vm) -> FuncId {
-        if (gid as usize) < self.shared.base_len {
-            return FuncId(gid);
+    /// Every lane is one shard read-lock on the shared cache; the cycle
+    /// model still charges each lane its own cost.
+    #[inline]
+    fn probe(&mut self, _lane: Lane, key: &[u64]) -> (Option<u32>, u32, ()) {
+        let p = self.shared.cache.get(key);
+        let gid = p.value.map(|v| {
+            if let Some(ev) = &self.site_cache[key[0] as usize].evict {
+                ev.touch(v.clock_idx);
+            }
+            v.gid
+        });
+        (gid, p.probes, ())
+    }
+
+    /// Single-flight: become the winner, or follow the miss policy.
+    fn claim(&mut self, key: &[u64], _: ()) -> Claim<u32, Arc<Flight>> {
+        let flight = {
+            let mut map = self.shared.inflight.shard(key).lock().unwrap();
+            if let Some(fl) = map.get(key) {
+                Arc::clone(fl)
+            } else if let Some(v) = self.shared.cache.get(key).value {
+                // Published between our probe and taking the shard lock.
+                return Claim::Raced(v.gid);
+            } else {
+                let fl = Arc::new(Flight::new());
+                map.insert(key.to_vec(), Arc::clone(&fl));
+                return Claim::Win(fl);
+            }
+        };
+        match self.shared.opts.miss_policy {
+            MissPolicy::Block => {
+                let t0 = now_ns();
+                let result = flight.wait();
+                Claim::Waited(result, now_ns().saturating_sub(t0))
+            }
+            MissPolicy::Fallback => Claim::Fallback,
         }
+    }
+
+    /// Publish to the registry and the cache, then resolve and remove the
+    /// flight (in that order — see the module docs on memory ordering).
+    fn publish(
+        &mut self,
+        key: &[u64],
+        flight: Arc<Flight>,
+        func: FuncId,
+        module: &Module,
+    ) -> (u32, Option<(Vec<u64>, u32)>) {
+        let gid = self.shared.publish_code(module.func(func).clone());
+        self.bind_local(gid, func);
+        let (shared, entry) = (&self.shared, &self.site_cache[key[0] as usize]);
+        if let (Some(ev), Some(eng), SitePolicy::CacheAllBounded(k)) =
+            (&entry.evict, &shared.policy, entry.site.policy)
+        {
+            // Auto-sizing: revivals observed at this site grow the
+            // effective bound (pre-allocated headroom, so no reallocation).
+            ev.grow_to(eng.cap_for(key[0] as u32, k.max(1) as usize));
+        }
+        let evicted = shared.bind(entry, key, gid).map(|(mut old, slot)| {
+            old.remove(0);
+            (old, slot)
+        });
+        shared.inflight.shard(key).lock().unwrap().remove(key);
+        flight.resolve(Ok(gid));
+        (gid, evicted)
+    }
+
+    fn abandon(&mut self, key: &[u64], flight: Arc<Flight>, err: &VmError) {
+        self.shared.inflight.shard(key).lock().unwrap().remove(key);
+        flight.resolve(Err(err.to_string()));
+    }
+
+    /// Copy published code into this thread's module on first use;
+    /// base-module ids map to themselves.
+    #[inline]
+    fn resolve(&mut self, gid: u32, module: &mut Module) -> (FuncId, bool) {
+        let Some(idx) = (gid as usize).checked_sub(self.shared.base_len) else {
+            return (FuncId(gid), false);
+        };
+        if let Some(Some(f)) = self.local_ids.get(idx) {
+            return (*f, false);
+        }
+        let code = self.shared.registry.read().unwrap()[idx].as_ref().clone();
+        let f = module.add_func(code);
+        self.bind_local(gid, f);
+        (f, true)
+    }
+
+    fn generic(&mut self, point: u32, module: &mut Module) -> (FuncId, bool, bool) {
+        let (gid, built) = self.shared.generic_continuation(point);
+        let (f, fresh) = self.resolve(gid, module);
+        (f, built, fresh)
+    }
+
+    fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R {
+        f(&self.shared.staged, &mut &*self.shared)
+    }
+}
+
+impl SharedStore {
+    /// Record that published code `gid` is `func` in this thread's module.
+    fn bind_local(&mut self, gid: u32, func: FuncId) {
         let idx = gid as usize - self.shared.base_len;
         if idx >= self.local_ids.len() {
             self.local_ids.resize(idx + 1, None);
         }
-        if let Some(f) = self.local_ids[idx] {
-            return f;
-        }
-        let cf = self.shared.registry.read().unwrap()[idx].as_ref().clone();
-        let fid = module.add_func(cf);
-        // Installing code in this replica models the same `imb` + install
-        // cost the winner paid in its own module.
-        vm.flush_icache();
-        let install = self.shared.costs.install;
-        self.charge(vm, install);
-        self.local_ids[idx] = Some(fid);
-        // First materialization in this thread: lower to machine code in
-        // this thread's own arena (the winner thread did the same in
-        // `do_specialize`).
-        if self.native_on() {
-            let art = lower_func(module.func(fid));
-            self.install_native(point, fid, art);
-        }
-        fid
-    }
-
-    /// Run the GE executor for this site/key in this thread's module.
-    /// `key` is the shared-cache key (`[site, key bits...]`), used only
-    /// to tag trace events.
-    fn do_specialize(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<FuncId, VmError> {
-        let site = &entry.site;
-        let mut store = site.base_store.clone();
-        for (v, &p) in site.key_vars.iter().zip(&site.key_pos) {
-            store.insert(*v, args[p]);
-        }
-        self.stats.specializations += 1;
-        let Some(d) = site.division else {
-            return Err(VmError::Dispatch(
-                "concurrent dispatch requires a staged GE division \
-                 (online-specializer fallback is single-threaded only)"
-                    .into(),
-            ));
-        };
-        let point = key[0] as u32;
-        let kh = if self.trace.is_on() {
-            dyc_obs::key_hash(&key[1..])
-        } else {
-            0
-        };
-        let (dyn0, instr0) = (self.stats.dyncomp_cycles, self.stats.instrs_generated);
-        self.trace.rec(
-            EventKind::GeExecBegin,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
-        self.live_event(
-            EventKind::GeExecBegin,
-            point,
-            &key[1..],
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
-        let shared = Arc::clone(&self.shared);
-        let mut env = SpecEnv {
-            staged: &shared.staged,
-            costs: shared.costs,
-            budget: shared.opts.spec_budget,
-            stats: &mut self.stats,
-            trace: &mut self.trace,
-        };
-        let mut host = SharedSiteHost { shared: &shared };
-        let (f, native_art) =
-            GeExecutor::run(&mut env, &mut host, point, site, store, d, module, vm)?;
-        vm.flush_icache();
-        let install = shared.costs.install;
-        self.charge(vm, install);
-        if self.native_on() {
-            // The GE path lowered during emission when the staged config
-            // asked for it; lower the finished code otherwise.
-            let art = native_art.or_else(|| lower_func(module.func(f)));
-            self.install_native(point, f, art);
-        }
-        self.trace.rec(
-            EventKind::GeExecEnd,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            self.stats.dyncomp_cycles - dyn0,
-            self.stats.instrs_generated - instr0,
-        );
-        self.live_event(
-            EventKind::GeExecEnd,
-            point,
-            &key[1..],
-            vm.stats.total_cycles(),
-            self.stats.dyncomp_cycles - dyn0,
-            self.stats.instrs_generated - instr0,
-        );
-        if let Some(l) = &self.live {
-            // Per-site specialization economics for the sampler's
-            // break-even-drift window.
-            l.registry
-                .note_spec(point, self.stats.dyncomp_cycles - dyn0);
-        }
-        if let Some(eng) = &shared.policy {
-            // Feed the measured cost into the site's break-even
-            // threshold estimate.
-            eng.note_spec(point, self.stats.dyncomp_cycles - dyn0);
-        }
-        Ok(f)
-    }
-
-    /// Winner path: specialize, publish to the registry and cache, then
-    /// resolve and remove the flight (in that order — see the module docs
-    /// on memory ordering).
-    fn specialize_publish(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        flight: &Flight,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<u32, VmError> {
-        let out = match self.do_specialize(entry, key, args, module, vm) {
-            Ok(fid) => {
-                let cf = module.func(fid).clone();
-                let gid = {
-                    let mut reg = self.shared.registry.write().unwrap();
-                    let gid = (self.shared.base_len + reg.len()) as u32;
-                    reg.push(Arc::new(cf));
-                    gid
-                };
-                let idx = gid as usize - self.shared.base_len;
-                if idx >= self.local_ids.len() {
-                    self.local_ids.resize(idx + 1, None);
-                }
-                self.local_ids[idx] = Some(fid);
-                let clock_idx = match &entry.evict {
-                    Some(ev) => {
-                        if let Some(eng) = &self.shared.policy {
-                            // Auto-sizing: revivals observed at this site
-                            // grow the effective bound (pre-allocated
-                            // headroom, so no reallocation).
-                            if let SitePolicy::CacheAllBounded(k) = entry.site.policy {
-                                ev.grow_to(eng.cap_for(key[0] as u32, k.max(1) as usize));
-                            }
-                        }
-                        let (ci, evicted) = ev.admit(key);
-                        if let Some(old) = evicted {
-                            // Outside the clock mutex: see `admit` docs.
-                            self.shared.cache.remove(&old);
-                            self.stats.cache_evictions += 1;
-                            self.shared
-                                .stats
-                                .cache_evictions
-                                .fetch_add(1, Ordering::Relaxed);
-                            if self.trace.is_on() {
-                                self.trace.rec(
-                                    EventKind::CacheEvict,
-                                    key[0] as u32,
-                                    dyc_obs::key_hash(&old[1..]),
-                                    vm.stats.total_cycles(),
-                                    u64::from(ci),
-                                    0,
-                                );
-                            }
-                            self.live_bump(LiveMetric::Evictions);
-                            self.live_event(
-                                EventKind::CacheEvict,
-                                key[0] as u32,
-                                &old[1..],
-                                vm.stats.total_cycles(),
-                                u64::from(ci),
-                                0,
-                            );
-                        }
-                        ci
-                    }
-                    None => 0,
-                };
-                self.shared
-                    .cache
-                    .insert(key.to_vec(), CacheVal { gid, clock_idx });
-                self.shared
-                    .stats
-                    .specializations
-                    .fetch_add(1, Ordering::Relaxed);
-                self.live_bump(LiveMetric::Specializations);
-                Ok(gid)
-            }
-            Err(e) => Err(e),
-        };
-        self.shared.inflight.shard(key).lock().unwrap().remove(key);
-        flight.resolve(match &out {
-            Ok(g) => Ok(*g),
-            Err(e) => Err(e.to_string()),
-        });
-        out
-    }
-
-    /// Single-flight miss path: become the winner or follow the policy.
-    fn miss(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<MissResult, VmError> {
-        // Adaptive-policy gate: decide *whether* to specialize before
-        // entering the single-flight protocol. A deferred or throttled
-        // miss runs the generic continuation and never takes a flight.
-        if self.shared.policy.is_some() {
-            let shared = Arc::clone(&self.shared);
-            let eng = shared.policy.as_ref().expect("checked above");
-            let point = key[0] as u32;
-            let entry_site = (point as usize) < shared.staged.entry_sites.len();
-            let decision = eng.on_miss(key, entry_site);
-            let count = u64::from(eng.count_of(key));
-            let trace_on = self.trace.is_on();
-            let kh = if trace_on {
-                dyc_obs::key_hash(&key[1..])
-            } else {
-                0
-            };
-            match decision {
-                PolicyDecision::Specialize { promoted } => {
-                    if promoted {
-                        self.stats.policy_promotes += 1;
-                        shared.stats.policy_promotes.fetch_add(1, Ordering::Relaxed);
-                        self.live_bump(LiveMetric::PolicyPromotes);
-                        self.live_event(
-                            EventKind::PolicyPromote,
-                            point,
-                            &key[1..],
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                        if trace_on {
-                            self.trace.rec(
-                                EventKind::PolicyPromote,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                count,
-                                0,
-                            );
-                        }
-                    }
-                }
-                PolicyDecision::Defer => {
-                    self.stats.policy_defers += 1;
-                    shared.stats.policy_defers.fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::PolicyDefers);
-                    self.live_event(
-                        EventKind::PolicyDefer,
-                        point,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                    if trace_on {
-                        self.trace.rec(
-                            EventKind::PolicyDefer,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                    }
-                    return Ok(MissResult::Generic(shared.generic_continuation(entry)));
-                }
-                PolicyDecision::Throttle => {
-                    self.stats.policy_throttled += 1;
-                    shared
-                        .stats
-                        .policy_throttled
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::PolicyThrottles);
-                    self.live_event(
-                        EventKind::PolicyThrottle,
-                        point,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                    if trace_on {
-                        self.trace.rec(
-                            EventKind::PolicyThrottle,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                    }
-                    return Ok(MissResult::Generic(shared.generic_continuation(entry)));
-                }
-            }
-        }
-        enum Role {
-            Winner(Arc<Flight>),
-            Racer(Arc<Flight>),
-            Published(u32),
-        }
-        let role = {
-            let mut map = self.shared.inflight.shard(key).lock().unwrap();
-            if let Some(fl) = map.get(key) {
-                Role::Racer(Arc::clone(fl))
-            } else if let Some(v) = self.shared.cache.get(key).value {
-                // Published between our probe and taking the shard lock.
-                Role::Published(v.gid)
-            } else {
-                let fl = Arc::new(Flight::new());
-                map.insert(key.to_vec(), Arc::clone(&fl));
-                Role::Winner(fl)
-            }
-        };
-        match role {
-            Role::Published(gid) => {
-                self.shared
-                    .stats
-                    .single_flight_races
-                    .fetch_add(1, Ordering::Relaxed);
-                self.live_bump(LiveMetric::FlightRaces);
-                Ok(MissResult::Spec(gid))
-            }
-            Role::Winner(fl) => {
-                vm.stats.dispatch_misses += 1;
-                self.specialize_publish(entry, key, args, &fl, module, vm)
-                    .map(MissResult::Spec)
-            }
-            Role::Racer(fl) => match self.shared.opts.miss_policy {
-                MissPolicy::Block => {
-                    self.stats.single_flight_waits += 1;
-                    self.shared
-                        .stats
-                        .single_flight_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::FlightWaits);
-                    let t0 = (self.trace.is_on() || self.live.is_some()).then(now_ns);
-                    let res = fl.wait();
-                    if let Some(t0) = t0 {
-                        let waited = now_ns().saturating_sub(t0);
-                        if self.trace.is_on() {
-                            self.trace.rec(
-                                EventKind::FlightWait,
-                                key[0] as u32,
-                                dyc_obs::key_hash(&key[1..]),
-                                vm.stats.total_cycles(),
-                                waited,
-                                0,
-                            );
-                        }
-                        self.live_event(
-                            EventKind::FlightWait,
-                            key[0] as u32,
-                            &key[1..],
-                            vm.stats.total_cycles(),
-                            waited,
-                            0,
-                        );
-                    }
-                    match res {
-                        Ok(gid) => Ok(MissResult::Spec(gid)),
-                        Err(m) => Err(VmError::Dispatch(m)),
-                    }
-                }
-                MissPolicy::Fallback => {
-                    self.stats.single_flight_fallbacks += 1;
-                    self.shared
-                        .stats
-                        .single_flight_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::FlightFallbacks);
-                    if self.trace.is_on() {
-                        self.trace.rec(
-                            EventKind::FlightFallback,
-                            key[0] as u32,
-                            dyc_obs::key_hash(&key[1..]),
-                            vm.stats.total_cycles(),
-                            0,
-                            0,
-                        );
-                    }
-                    self.live_event(
-                        EventKind::FlightFallback,
-                        key[0] as u32,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        0,
-                        0,
-                    );
-                    Ok(MissResult::Generic(self.shared.generic_continuation(entry)))
-                }
-            },
-        }
+        self.local_ids[idx] = Some(func);
     }
 }
 
-impl DispatchHandler for ThreadRuntime {
-    fn dispatch(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        out_args: &mut Vec<Value>,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        let entry = self.site_entry(point);
-        let site = &entry.site;
-        if args.len() != site.arg_vars.len() {
-            return Err(VmError::Dispatch(format!(
-                "site {point}: expected {} args, got {}",
-                site.arg_vars.len(),
-                args.len()
-            )));
-        }
+/// One thread's dispatch handler over a [`SharedRuntime`]: the dispatch
+/// core over the thread's [`SharedStore`]. Its [`RtStats`] are the
+/// thread's own meters.
+pub type ThreadRuntime = Dispatcher<SharedStore>;
 
-        // Build the shared-cache key: [site, promoted key bits...]
-        // (cache-one-unchecked sites key on the site alone).
-        let mut key = std::mem::take(&mut self.scratch_key);
-        key.clear();
-        if key.capacity() < site.key_pos.len() + 1 {
-            self.stats.dispatch_allocs += 1;
-        }
-        key.push(u64::from(point));
-        if site.policy != SitePolicy::CacheOneUnchecked {
-            key.extend(site.key_pos.iter().map(|&p| args[p].key_bits()));
-        }
-
-        // Hit path: one shard read-lock, metered per policy with the same
-        // cost constants as the single-threaded dispatcher.
-        let probed = self.shared.cache.get(&key);
-        let cost = match site.policy {
-            SitePolicy::CacheOneUnchecked => {
-                let c = self.shared.costs.dispatch_unchecked;
-                self.charge_dispatch(vm, c);
-                self.stats.dispatch_unchecked += 1;
-                c
-            }
-            SitePolicy::CacheIndexed => {
-                let c = self.shared.costs.dispatch_indexed;
-                self.charge_dispatch(vm, c);
-                self.stats.dispatch_indexed += 1;
-                c
-            }
-            SitePolicy::CacheAll | SitePolicy::CacheAllBounded(_) => {
-                let c = self
-                    .shared
-                    .costs
-                    .hashed_dispatch(key.len() - 1, probed.probes);
-                self.charge_dispatch(vm, c);
-                self.stats.dispatch_hashed += 1;
-                self.stats.dispatch_probes += u64::from(probed.probes);
-                c
-            }
-        };
-
-        // Trace tags: events record into the preallocated per-thread ring,
-        // so the warm path stays allocation-free even while tracing.
-        let trace_on = self.trace.is_on();
-        let kh = if trace_on {
-            dyc_obs::key_hash(&key[1..])
-        } else {
-            0
-        };
-        let hashed = matches!(
-            site.policy,
-            SitePolicy::CacheAll | SitePolicy::CacheAllBounded(_)
-        );
-        let probes = if hashed { u64::from(probed.probes) } else { 0 };
-
-        let gid = match probed.value {
-            Some(v) => {
-                if let Some(l) = &self.live {
-                    l.slot.add(LiveMetric::Dispatches, 1);
-                    l.slot.add(LiveMetric::Hits, 1);
-                }
-                if let Some(eng) = &self.shared.policy {
-                    eng.note_hit(point);
-                }
-                if let Some(ev) = &entry.evict {
-                    ev.touch(v.clock_idx);
-                }
-                if trace_on {
-                    let kind = match site.policy {
-                        SitePolicy::CacheOneUnchecked => EventKind::DispatchUnchecked,
-                        SitePolicy::CacheIndexed => EventKind::DispatchIndexed,
-                        _ => EventKind::DispatchHit,
-                    };
-                    self.trace
-                        .rec(kind, point, kh, vm.stats.total_cycles(), cost, probes);
-                }
-                v.gid
-            }
-            None => {
-                if trace_on {
-                    self.trace.rec(
-                        EventKind::DispatchMiss,
-                        point,
-                        kh,
-                        vm.stats.total_cycles(),
-                        cost,
-                        probes,
-                    );
-                }
-                self.live_bump(LiveMetric::Dispatches);
-                self.live_bump(LiveMetric::Misses);
-                self.live_event(
-                    EventKind::DispatchMiss,
-                    point,
-                    &key[1..],
-                    vm.stats.total_cycles(),
-                    cost,
-                    probes,
-                );
-                // Miss-path latency: miss detection → runnable code
-                // (specialize, wait, or continuation build), recorded in
-                // the pre-allocated per-thread histogram. Hit dispatches
-                // never reach this arm, so the warm path reads no clock.
-                let lat0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
-                let missed = self.miss(&entry, &key, args, module, vm);
-                if let Some(t0) = lat0 {
-                    let d = now_ns().saturating_sub(t0);
-                    if let Some(h) = self.miss_hist.as_mut() {
-                        h.record(d);
-                    }
-                    if let Some(l) = &self.live {
-                        l.slot.record_miss_ns(d);
-                    }
-                }
-                match missed? {
-                    MissResult::Spec(gid) => gid,
-                    MissResult::Generic(gid) => {
-                        // The generic continuation takes every dispatch
-                        // argument (nothing is baked in but the base store).
-                        let fid = self.materialize(point, gid, module, vm);
-                        self.scratch_key = key;
-                        out_args.extend_from_slice(args);
-                        return self.finish_invoke(fid, out_args, module, vm);
-                    }
-                }
-            }
-        };
-
-        let fid = self.materialize(point, gid, module, vm);
-        self.scratch_key = key;
-        out_args.extend(entry.site.dyn_pos.iter().map(|&i| args[i]));
-        self.finish_invoke(fid, out_args, module, vm)
-    }
-}
-
-impl NativeDispatch for ThreadRuntime {
-    fn native_dispatch(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        // Mirror of the interpreter's `Dispatch` arm: count it, run the
-        // handler, then either take the completed value (the callee ran
-        // natively too) or interpret the specialized function.
-        vm.stats.dispatches += 1;
-        let mut out_args = Vec::new();
-        match self.dispatch(point, args, &mut out_args, module, vm)? {
-            DispatchOutcome::Completed { value } => Ok(value),
-            DispatchOutcome::Invoke { func } => vm.call_with_handler(module, self, func, &out_args),
-        }
+impl ThreadRuntime {
+    /// The shared runtime this handler dispatches against.
+    pub fn shared(&self) -> &Arc<SharedRuntime> {
+        &self.store.shared
     }
 
-    fn native_call(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        if let Some(entry) = self.native.entry(func) {
-            return exec_entry(&entry, args, self, module, vm);
-        }
-        vm.call_with_handler(module, self, func, args)
+    /// [`SharedRuntime::invalidate_site`], metered by this thread (its
+    /// [`RtStats`] and trace as well as the global meters).
+    pub fn invalidate_site(&mut self, point: u32) {
+        self.store.shared.purge(point);
+        self.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0);
     }
 }
 
@@ -1880,12 +1155,20 @@ impl NativeDispatch for ThreadRuntime {
 mod tests {
     use super::*;
     use dyc_bta::OptConfig;
-    use dyc_vm::CostModel;
+    use dyc_vm::{CostModel, Value, Vm};
 
-    fn staged(src: &str) -> StagedProgram {
+    fn staged_with(src: &str, cfg: OptConfig) -> StagedProgram {
         let mut ir = dyc_ir::lower_program(&dyc_lang::parse_program(src).unwrap()).unwrap();
         dyc_ir::opt::optimize_program(&mut ir);
-        dyc_stage::stage_program(ir, OptConfig::all())
+        dyc_stage::stage_program(ir, cfg)
+    }
+
+    fn staged(src: &str) -> StagedProgram {
+        staged_with(src, OptConfig::all())
+    }
+
+    fn adaptive(src: &str) -> StagedProgram {
+        staged_with(src, OptConfig::all().with_policy(PolicyMode::Adaptive))
     }
 
     const POWER: &str = "int pow(int b, int e) { make_static(e);
@@ -2033,11 +1316,8 @@ mod tests {
         let mut vm = Vm::new(CostModel::alpha21164());
         // Force-build the continuation for the entry site and run it with
         // the full dispatch arguments [b, e] (arg order).
-        let sites = shared.sites.read().unwrap();
-        let entry = Arc::clone(&sites[0]);
-        drop(sites);
-        let gid = shared.generic_continuation(&entry);
-        let fid = t.materialize(0, gid, &mut module, &mut vm);
+        let entry = Arc::clone(&shared.sites.read().unwrap()[0]);
+        let fid = t.generic(0, &mut module);
         for (b, e) in [(3i64, 4i64), (2, 0), (5, 3), (-2, 5)] {
             let args: Vec<Value> = entry
                 .site
@@ -2057,8 +1337,9 @@ mod tests {
             assert_eq!(generic, Some(Value::I(b.pow(e as u32))), "pow({b},{e})");
         }
         // Only one continuation is ever compiled per site.
-        assert_eq!(shared.generic_continuation(&entry), gid);
+        assert_eq!(t.generic(0, &mut module), fid);
         assert_eq!(shared.stats().generic_continuations, 1);
+        assert_eq!(t.stats.dyncomp_cycles, 0, "no dynamic-compilation cycles");
     }
 
     #[test]
@@ -2141,67 +1422,47 @@ mod tests {
 
     #[test]
     fn conc_snapshot_covers_every_meter() {
-        // Size accounting: adding an atomic to ConcStats or a field to
-        // ConcSnapshot without updating the other (and `stats()`) trips
-        // one of these, which forces the round-trip list below — and
-        // therefore the snapshot plumbing — to stay complete.
-        assert_eq!(std::mem::size_of::<ConcStats>(), 14 * 8);
+        // Every global meter is bumped through the meter table: noting
+        // each kind once must surface as exactly one count in its
+        // snapshot field, and no kind may reach a field it does not own.
         assert_eq!(
             std::mem::size_of::<ConcSnapshot>(),
             std::mem::size_of::<Vec<ShardMeter>>() + 15 * 8
         );
         let shared = SharedRuntime::new(staged(POWER));
-        let fields: [&AtomicU64; 14] = [
-            &shared.stats.specializations,
-            &shared.stats.single_flight_waits,
-            &shared.stats.single_flight_fallbacks,
-            &shared.stats.single_flight_races,
-            &shared.stats.cache_evictions,
-            &shared.stats.cache_invalidations,
-            &shared.stats.generic_continuations,
-            &shared.stats.cache_warm_loads,
-            &shared.stats.cache_warm_rejects,
-            &shared.stats.native_installs,
-            &shared.stats.native_fallbacks,
-            &shared.stats.policy_defers,
-            &shared.stats.policy_promotes,
-            &shared.stats.policy_throttled,
+        let noted = |kind: EventKind| {
+            shared.global_sinks(|s| s.note(kind, 0, &[], 0, 0, 0));
+            shared.stats()
+        };
+        type Field = fn(&ConcSnapshot) -> u64;
+        let cases: [(EventKind, Field); 14] = [
+            (EventKind::GeExecEnd, |s| s.specializations),
+            (EventKind::FlightWait, |s| s.single_flight_waits),
+            (EventKind::FlightFallback, |s| s.single_flight_fallbacks),
+            (EventKind::FlightRace, |s| s.single_flight_races),
+            (EventKind::CacheEvict, |s| s.cache_evictions),
+            (EventKind::CacheInvalidate, |s| s.cache_invalidations),
+            (EventKind::GenericBuild, |s| s.generic_continuations),
+            (EventKind::CacheWarmLoad, |s| s.cache_warm_loads),
+            (EventKind::CacheWarmReject, |s| s.cache_warm_rejects),
+            (EventKind::NativeInstall, |s| s.native_installs),
+            (EventKind::NativeFallback, |s| s.native_fallbacks),
+            (EventKind::PolicyDefer, |s| s.policy_defers),
+            (EventKind::PolicyPromote, |s| s.policy_promotes),
+            (EventKind::PolicyThrottle, |s| s.policy_throttled),
         ];
-        for (i, f) in fields.iter().enumerate() {
-            f.store(i as u64 + 1, Ordering::Relaxed);
+        for (i, (kind, field)) in cases.iter().enumerate() {
+            let s = noted(*kind);
+            assert_eq!(field(&s), 1, "{kind:?} missed its meter");
+            let total: u64 = cases.iter().map(|(_, f)| f(&s)).sum();
+            assert_eq!(total, i as u64 + 1, "{kind:?} bumped a foreign meter");
         }
-        let s = shared.stats();
-        let got = [
-            s.specializations,
-            s.single_flight_waits,
-            s.single_flight_fallbacks,
-            s.single_flight_races,
-            s.cache_evictions,
-            s.cache_invalidations,
-            s.generic_continuations,
-            s.cache_warm_loads,
-            s.cache_warm_rejects,
-            s.native_installs,
-            s.native_fallbacks,
-            s.policy_defers,
-            s.policy_promotes,
-            s.policy_throttled,
-        ];
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1, "meter {i} dropped by stats()");
-        }
-        assert_eq!(s.published, 0);
+        assert_eq!(shared.stats().published, 0);
     }
 
     #[test]
     fn adaptive_policy_defers_then_promotes() {
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(POWER),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(POWER)));
         let mut t = SharedRuntime::thread(&shared);
         let mut module = shared.base_module();
         let mut vm = Vm::new(CostModel::alpha21164());
@@ -2231,13 +1492,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_counts_exactly_under_contention() {
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(POWER),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(POWER)));
         let n = 8;
         let barrier = Arc::new(std::sync::Barrier::new(n));
         let handles: Vec<_> = (0..n)
@@ -2282,13 +1537,7 @@ mod tests {
     fn adaptive_grows_bounded_caps_to_fit_the_working_set() {
         let src = "int pow(int b, int e) { make_static(e: cache_all(2));
             int r = 1; while (e > 0) { r = r * b; e = e - 1; } return r; }";
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(src),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(src)));
         let mut t = SharedRuntime::thread(&shared);
         let mut module = shared.base_module();
         let mut vm = Vm::new(CostModel::alpha21164());

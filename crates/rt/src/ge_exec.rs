@@ -33,9 +33,9 @@ use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet};
 use crate::native::NativeArtifact;
 use crate::runtime::{Site, Store};
 use crate::sink::{InstallSink, NativeSink};
-use crate::stats::RtStats;
+use crate::stats::{RtStats, Sinks};
 use dyc_ir::{BlockId, VReg};
-use dyc_obs::{EventKind, Trace};
+use dyc_obs::EventKind;
 use dyc_stage::{
     ibin_special_case, AbsAlias, EdgePlan, GeDivision, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
     StagedProgram, Template,
@@ -44,12 +44,17 @@ use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Specialization instruction budget: a specialization that emits more
+/// instructions than this is aborted (guards non-terminating static
+/// loops).
+pub(crate) const SPEC_BUDGET: u64 = 4_000_000;
+
 /// Where freshly created internal promotion sites are registered.
 ///
-/// The GE executor itself is host-agnostic: the single-threaded
-/// [`crate::Runtime`] appends to its private site vector, while the
-/// concurrent runtime ([`crate::concurrent`]) appends to an `Arc`-shared
-/// site table under a write lock. Returns the new site's dispatch point
+/// The generating extensions are host-agnostic: the single-threaded
+/// [`crate::Runtime`]'s store appends to its private site vector, while
+/// the concurrent runtime's ([`crate::concurrent`]) appends to an
+/// `Arc`-shared site table under a write lock. Returns the new site's dispatch point
 /// id — the id is embedded in the emitted `Dispatch` instruction, so
 /// hosts must hand out ids from the same numbering the dispatch handler
 /// resolves later.
@@ -58,26 +63,34 @@ pub(crate) trait SpecHost {
     fn add_site(&mut self, site: Site) -> u32;
 }
 
-/// The read/metering context a specialization runs against, split off
-/// from the runtime so the executor never borrows a whole `&mut Runtime`
-/// (the concurrent runtime has no such object to lend).
+/// The read/metering context a specialization runs against — the
+/// staged program plus the dispatch handler's meter sinks — shared by
+/// the GE executor and the online specializer, so neither borrows a
+/// whole runtime.
 pub(crate) struct SpecEnv<'a> {
     /// The staged program (GE programs, IR, config).
     pub staged: &'a StagedProgram,
     /// Cost constants.
     pub costs: DynCosts,
-    /// Specialization instruction budget.
-    pub budget: u64,
-    /// Statistics sink (thread-local in the concurrent runtime).
-    pub stats: &'a mut RtStats,
-    /// Event sink (a no-op unless the owning runtime enabled tracing).
-    pub trace: &'a mut Trace,
+    /// Where the specialization's meters go (the handler's own stats
+    /// and trace, plus a shared runtime's live and global sinks).
+    pub sinks: Sinks<'a>,
+    /// The dispatch point being specialized.
+    pub point: u32,
+    /// The dispatch key being specialized (its words, without the site).
+    pub key: &'a [u64],
 }
 
 impl SpecEnv<'_> {
     pub(crate) fn charge(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dyncomp_cycles += cycles;
+        self.sinks.stats.dyncomp_cycles += cycles;
         vm.stats.dyncomp_cycles += cycles;
+    }
+
+    /// Meter an event of this specialization, tagged with its point and
+    /// key.
+    pub(crate) fn note(&mut self, kind: EventKind, cycle: u64, a: u64) {
+        self.sinks.note(kind, self.point, self.key, cycle, a, 0);
     }
 }
 
@@ -134,11 +147,6 @@ pub struct GeExecutor {
     fidx: usize,
     em: Emitter<GeKey, InstallSink>,
     worklist: Vec<(u32, Store)>,
-    budget: u64,
-    /// The dispatch point being specialized (tags trace events).
-    point: u32,
-    /// Hash of the entry store's value vector (tags trace events).
-    key_hash: u64,
     /// Division of each interned unit id (parallel to the emitter's
     /// label table).
     unit_division: Vec<u32>,
@@ -158,7 +166,6 @@ impl GeExecutor {
     pub(crate) fn run(
         env: &mut SpecEnv<'_>,
         host: &mut dyn SpecHost,
-        point: u32,
         site: &Site,
         store: Store,
         division: u32,
@@ -170,19 +177,10 @@ impl GeExecutor {
             .expect("site carries a division only for staged functions")
             .clone();
         let fname = env.staged.ir.funcs[site.func].name.clone();
-        let key_hash = if env.trace.is_on() {
-            let vals: Vec<u64> = store.values().map(|v| v.key_bits()).collect();
-            dyc_obs::key_hash(&vals)
-        } else {
-            0
-        };
         let mut ex = GeExecutor {
             fidx: site.func,
             em: Emitter::new(env.staged.cfg, gef.float_vreg.clone()),
             worklist: Vec::new(),
-            budget: env.budget,
-            point,
-            key_hash,
             unit_division: Vec::new(),
             header_units: HashMap::new(),
             unit_edges: Vec::new(),
@@ -224,17 +222,17 @@ impl GeExecutor {
             if units.len() < 2 {
                 continue;
             }
-            env.stats.loops_unrolled += 1;
+            env.sinks.stats.loops_unrolled += 1;
             if ex.loop_is_multiway(*h, units) {
-                env.stats.multi_way_unroll = true;
+                env.sinks.stats.multi_way_unroll = true;
             }
         }
 
-        env.stats.divisions_observed +=
+        env.sinks.stats.divisions_observed +=
             ex.division_sets.values().filter(|s| s.len() >= 2).count() as u64;
-        env.stats.instrs_generated += ex.em.emitted() as u64;
-        env.stats.ge_exec_cycles += ex.em.exec_cycles;
-        env.stats.emit_cycles += ex.em.emit_cycles;
+        env.sinks.stats.instrs_generated += ex.em.emitted() as u64;
+        env.sinks.stats.ge_exec_cycles += ex.em.exec_cycles;
+        env.sinks.stats.emit_cycles += ex.em.emit_cycles;
         let cycles = ex.em.total_cycles();
         env.charge(vm, cycles);
 
@@ -243,12 +241,6 @@ impl GeExecutor {
         let (code, native) = ex.em.take_install();
         cf.code = code;
         Ok((module.add_func(cf), native))
-    }
-
-    /// Record a seal-time event tagged with this specialization's point
-    /// and key hash.
-    fn trace_rec(&self, env: &mut SpecEnv<'_>, kind: EventKind, cycle: u64, a: u64) {
-        env.trace.rec(kind, self.point, self.key_hash, cycle, a, 0);
     }
 
     /// Intern the unit `(division, store values)`, recording the id's
@@ -280,7 +272,7 @@ impl GeExecutor {
             if self.em.sealed(id) {
                 break;
             }
-            if self.em.emitted() as u64 > self.budget {
+            if self.em.emitted() as u64 > SPEC_BUDGET {
                 return Err(VmError::Dispatch(
                     "specialization exceeded its instruction budget (non-terminating static control flow?)"
                         .into(),
@@ -315,7 +307,7 @@ impl GeExecutor {
         let mut buf: Vec<Emitted> = Vec::new();
         let costs = env.costs;
         self.em.exec_cycles += costs.per_unit;
-        env.stats.units_emitted += 1;
+        env.sinks.stats.units_emitted += 1;
         // Set to false by the first failed template guard: a value hit an
         // emit-time special case the templates preassumed away, so the
         // concrete rename state diverges from what later templates were
@@ -334,7 +326,7 @@ impl GeExecutor {
                         &mut store,
                         &mut rename,
                         &costs,
-                        env.stats,
+                        env.sinks.stats,
                         module,
                         vm,
                     )?;
@@ -349,7 +341,7 @@ impl GeExecutor {
                         &mut scratch,
                         &mut buf,
                         &costs,
-                        env.stats,
+                        env.sinks.stats,
                     );
                 }
                 GeOp::DemoteMaterialize { vars } => {
@@ -376,7 +368,7 @@ impl GeExecutor {
                     &mut scratch,
                     &mut buf,
                     &costs,
-                    env.stats,
+                    env.sinks.stats,
                 ),
             }
         }
@@ -395,7 +387,6 @@ impl GeExecutor {
                 None,
             );
             let base_store: Store = p.carried.iter().map(|v| (*v, store[v])).collect();
-            env.stats.internal_promotions += 1;
             let new_site = host.add_site(Site {
                 func: self.fidx,
                 block: d.block,
@@ -409,13 +400,10 @@ impl GeExecutor {
                 dyn_pos: Vec::new(),
             });
             self.em.exec_cycles += costs.new_site;
-            env.trace.rec(
+            env.note(
                 EventKind::Promotion,
-                self.point,
-                self.key_hash,
                 vm.stats.total_cycles(),
                 u64::from(new_site),
-                0,
             );
             let args: Vec<Reg> = p.args.iter().map(|v| self.em.reg_of(*v)).collect();
             for r in &args {
@@ -459,7 +447,7 @@ impl GeExecutor {
                     chain = self.take_edge(plan, &store, &mut buf, &mut live_regs);
                 }
                 GeTerm::StaticBr { cond, t, f } => {
-                    env.stats.branches_folded += 1;
+                    env.sinks.stats.branches_folded += 1;
                     let taken = match store[cond] {
                         Value::I(v) => v != 0,
                         Value::F(v) => v != 0.0,
@@ -472,12 +460,12 @@ impl GeExecutor {
                         // The rename table can still fold a "dynamic"
                         // branch when the condition renamed to a constant.
                         Opnd::KI(v) => {
-                            env.stats.branches_folded += 1;
+                            env.sinks.stats.branches_folded += 1;
                             let plan = if v != 0 { t } else { f };
                             chain = self.take_edge(plan, &store, &mut buf, &mut live_regs);
                         }
                         Opnd::KF(v) => {
-                            env.stats.branches_folded += 1;
+                            env.sinks.stats.branches_folded += 1;
                             let plan = if v != 0.0 { t } else { f };
                             chain = self.take_edge(plan, &store, &mut buf, &mut live_regs);
                         }
@@ -514,7 +502,7 @@ impl GeExecutor {
                     }
                 }
                 GeTerm::StaticSwitch { on, cases, default } => {
-                    env.stats.branches_folded += 1;
+                    env.sinks.stats.branches_folded += 1;
                     let v = store[on].as_i();
                     let plan = cases
                         .iter()
@@ -525,7 +513,7 @@ impl GeExecutor {
                 GeTerm::DynSwitch { on, cases, default } => {
                     match self.em.resolve(*on, &store, &rename) {
                         Opnd::KI(v) => {
-                            env.stats.branches_folded += 1;
+                            env.sinks.stats.branches_folded += 1;
                             let plan = cases
                                 .iter()
                                 .find_map(|(k, p)| (*k == v).then_some(p))
@@ -616,12 +604,14 @@ impl GeExecutor {
             }
         }
 
-        let (tmpl, holes) = self.em.seal_unit(id, buf, live_regs, &costs, env.stats);
+        let (tmpl, holes) = self
+            .em
+            .seal_unit(id, buf, live_regs, &costs, env.sinks.stats);
         if tmpl > 0 {
             let cyc = vm.stats.total_cycles();
-            self.trace_rec(env, EventKind::TemplateCopy, cyc, tmpl);
+            env.note(EventKind::TemplateCopy, cyc, tmpl);
             if holes > 0 {
-                self.trace_rec(env, EventKind::HolePatch, cyc, holes);
+                env.note(EventKind::HolePatch, cyc, holes);
             }
         }
         Ok(chain)

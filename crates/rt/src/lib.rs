@@ -4,11 +4,11 @@
 //! with a dispatch into this crate and precompiles each region into a
 //! generating-extension (GE) program. At run time:
 //!
-//! 1. [`Runtime`] (a [`dyc_vm::DispatchHandler`]) receives the dispatch
-//!    with the live values, extracts the promoted key, and consults the
-//!    site's **dynamic-code cache** — the paper's double-hashing
-//!    `cache-all` table or the single-slot `cache-one-unchecked` policy
-//!    (§2.2.3).
+//! 1. The [`dispatch`] core, [`Dispatcher`] (a [`dyc_vm::DispatchHandler`]),
+//!    receives the dispatch with the live values, extracts the promoted
+//!    key, and consults the site's **dynamic-code cache** — the paper's
+//!    double-hashing `cache-all` table or the single-slot
+//!    `cache-one-unchecked` policy (§2.2.3).
 //! 2. On a miss, the [`ge_exec`] executor interprets the region's flat GE
 //!    program: it executes the precompiled static computations and emits
 //!    specialized VM code — complete loop unrolling, static loads &
@@ -23,10 +23,15 @@
 //!    I-cache is flushed, and every cycle of the work is charged to the
 //!    dynamic-compilation counters that feed Table 3.
 //!
-//! The [`concurrent`] module makes the same pipeline callable from many
-//! threads: an `Arc`-shared [`concurrent::SharedRuntime`] (sharded code
-//! cache, single-flight specialization, bounded eviction) hands each
-//! thread its own [`concurrent::ThreadRuntime`] dispatch handler.
+//! The core is written once, generic over a code store, and instantiated
+//! twice. [`Runtime`] runs it over a [`LocalStore`]: one module and the
+//! per-policy tables whose probe counts feed the cycle model.
+//! [`ThreadRuntime`] runs it over a [`SharedStore`], one thread's view of
+//! an `Arc`-shared [`concurrent::SharedRuntime`] (sharded code cache,
+//! single-flight specialization, bounded eviction), so the same pipeline
+//! is callable from many threads. Every meter point of both goes through
+//! one call, whose table (in [`stats`]) decides what it counts and
+//! records.
 
 #![deny(missing_docs)]
 
@@ -34,6 +39,7 @@ pub mod artifact;
 pub mod cache;
 pub mod concurrent;
 pub mod costs;
+pub mod dispatch;
 pub(crate) mod emitter;
 pub mod ge_exec;
 pub mod native;
@@ -46,12 +52,13 @@ pub mod stats;
 pub use artifact::{CacheBundle, CodeArtifact, ARTIFACT_VERSION};
 pub use cache::{CacheEntry, DoubleHashCache, Probed};
 pub use concurrent::{
-    ConcSnapshot, MissPolicy, ShardMeter, SharedOptions, SharedRuntime, ThreadRuntime,
+    ConcSnapshot, MissPolicy, ShardMeter, SharedOptions, SharedRuntime, SharedStore, ThreadRuntime,
 };
 pub use costs::DynCosts;
+pub use dispatch::Dispatcher;
 pub use ge_exec::GeExecutor;
 pub use native::{lower_func, NativeArtifact, NativeDispatch, NativeEngine};
 pub use policy::{PolicyDecision, PolicyEngine, PolicyParams};
-pub use runtime::{Runtime, Site, Store};
+pub use runtime::{LocalStore, Runtime, Site, Store};
 pub use sink::{fnv1a, CodeSink, FnvBuild, InstallSink, NativeSink, RecordingSink, VmSink};
 pub use stats::RtStats;

@@ -64,11 +64,10 @@
 //! performs them.
 //!
 //! Both [`Runtime`](crate::Runtime) and the sharded
-//! [`SharedRuntime`](crate::SharedRuntime) embed the same engine type;
-//! it is enabled by `OptConfig::policy =`
-//! [`PolicyMode::Adaptive`](dyc_bta::PolicyMode) (or
-//! `SharedOptions::policy`), and the default `Always` mode bypasses it
-//! entirely — dispatch behavior, code bytes, and every existing table
+//! [`SharedRuntime`](crate::SharedRuntime) embed the same engine type,
+//! consulted by the one dispatch core; it is enabled by
+//! `OptConfig::policy =` [`PolicyMode::Adaptive`](dyc_bta::PolicyMode),
+//! and the default `Always` mode bypasses it entirely — dispatch behavior, code bytes, and every existing table
 //! are unchanged.
 
 use std::collections::HashMap;

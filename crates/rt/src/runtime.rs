@@ -1,25 +1,25 @@
-//! The run-time system: dispatch sites, code caches, and the
-//! [`DispatchHandler`] that connects running code to the specializer.
+//! The single-threaded run-time system: dispatch sites, the per-policy
+//! code caches, and [`Runtime`], the dispatch core over them.
 //!
 //! "At run time, a dynamic region's custom dynamic compiler is invoked to
 //! generate the region's code. The dynamic compiler first checks an
 //! internal cache of previously dynamically generated code for a version
 //! that was compiled for the values of the annotated variables. If one is
-//! found, it is reused." (§2.1)
+//! found, it is reused." (§2.1) The protocol itself lives in
+//! [`crate::dispatch`]; this module supplies the [`LocalStore`] it runs
+//! against, whose tables' probe counts feed the cycle model.
 
-use crate::artifact::{self, CacheBundle, SiteSpec, ARTIFACT_VERSION};
+use crate::artifact::{self, CacheBundle, CodeArtifact, WarmHost};
 use crate::cache::{CacheEntry, DoubleHashCache};
-use crate::costs::DynCosts;
-use crate::ge_exec::{GeExecutor, SpecEnv, SpecHost};
-use crate::native::{exec_entry, lower_func, NativeArtifact, NativeDispatch, NativeEngine};
-use crate::policy::{PolicyDecision, PolicyEngine, PolicyParams};
-use crate::specializer::Specializer;
-use crate::stats::RtStats;
+use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane};
+use crate::ge_exec::SpecHost;
+use crate::policy::{PolicyEngine, PolicyParams};
+use crate::stats::Sinks;
 use dyc_bta::PolicyMode;
 use dyc_ir::{BlockId, VReg};
-use dyc_obs::{EventKind, Trace};
+use dyc_obs::EventKind;
 use dyc_stage::{SitePolicy, StagedProgram};
-use dyc_vm::{DispatchHandler, DispatchOutcome, FuncId, Module, Value, Vm, VmError};
+use dyc_vm::{CodeFunc, FuncId, Module, Value, VmError};
 use std::collections::BTreeMap;
 
 /// The static store: concrete values of the static variables.
@@ -45,7 +45,8 @@ pub struct Site {
     /// Caching policy.
     pub policy: SitePolicy,
     /// Entry division in the function's precompiled GE program, when one
-    /// exists: specialization runs through the staged [`GeExecutor`].
+    /// exists: specialization runs through the staged
+    /// [`GeExecutor`](crate::GeExecutor).
     /// `None` routes through the online `Specializer` (staging disabled
     /// or the function fell back).
     pub division: Option<u32>,
@@ -61,6 +62,38 @@ pub struct Site {
 }
 
 impl Site {
+    /// Entry site `i` of a staged program (layout not yet computed: the
+    /// site table does that on registration).
+    pub(crate) fn entry(staged: &StagedProgram, i: usize) -> Site {
+        let e = &staged.entry_sites[i];
+        Site {
+            func: e.func,
+            block: e.block,
+            inst_idx: e.inst_idx,
+            base_store: Store::new(),
+            key_vars: e.key_vars.iter().map(|(v, _)| *v).collect(),
+            arg_vars: e.arg_vars.clone(),
+            policy: e.policy,
+            division: staged.ge.entry_divisions[i],
+            key_pos: Vec::new(),
+            dyn_pos: Vec::new(),
+        }
+    }
+
+    /// The site's generic continuation: unspecialized code for the region
+    /// resuming here, taking every dispatch argument, with the site's
+    /// baked static context materialized as constants.
+    pub(crate) fn generic_code(&self, staged: &StagedProgram) -> CodeFunc {
+        let consts: Vec<_> = self.base_store.iter().map(|(v, val)| (*v, *val)).collect();
+        dyc_ir::codegen::codegen_region_generic(
+            &staged.ir.funcs[self.func],
+            self.block,
+            self.inst_idx,
+            &self.arg_vars,
+            &consts,
+        )
+    }
+
     pub(crate) fn precompute_layout(&mut self) {
         self.key_pos = self
             .key_vars
@@ -124,14 +157,15 @@ impl CacheState {
     }
 }
 
-/// [`SpecHost`] over plain site/cache vectors — the single-threaded
-/// runtime's storage for internal promotion sites.
-struct VecSiteHost<'a> {
-    sites: &'a mut Vec<Site>,
-    caches: &'a mut Vec<CacheState>,
+/// The site table with one cache per site — the [`SpecHost`] new
+/// internal promotion sites are registered in.
+#[derive(Debug, Default)]
+struct SiteTable {
+    sites: Vec<Site>,
+    caches: Vec<CacheState>,
 }
 
-impl SpecHost for VecSiteHost<'_> {
+impl SpecHost for SiteTable {
     fn add_site(&mut self, mut site: Site) -> u32 {
         let id = self.sites.len() as u32;
         site.precompute_layout();
@@ -141,129 +175,251 @@ impl SpecHost for VecSiteHost<'_> {
     }
 }
 
-/// The run-time system. Implements [`DispatchHandler`]; attach it to a
-/// [`Vm`] run with [`Vm::call_with_handler`].
+/// The single-threaded code store: one table per site, chosen by the
+/// site's policy — the unchecked slot, the 256-entry array with its
+/// hashed overflow, the double-hash table, or the bounded table with its
+/// second-chance clock. Installed code lives in the one module the
+/// runtime runs.
 #[derive(Debug)]
-pub struct Runtime {
-    /// The staged program (IR + plans) produced by `dyc-stage`.
-    pub staged: StagedProgram,
-    /// Cost constants for overhead accounting.
-    pub costs: DynCosts,
-    /// Run-time statistics (Table 2/3 instrumentation).
-    pub stats: RtStats,
-    /// Event recorder, enabled by `OptConfig::trace` (off by default).
-    /// Purely observational: recording never touches [`RtStats`], the
-    /// emitted code, or results.
-    pub trace: Trace,
-    sites: Vec<Site>,
-    caches: Vec<CacheState>,
-    /// Reusable cache-key buffer: hashed dispatches build their key here
-    /// instead of allocating per call.
-    scratch_key: Vec<u64>,
-    /// Reusable promoted-value buffer for the miss path.
-    scratch_vals: Vec<Value>,
-    /// Specialization instruction budget (guards non-terminating static
-    /// loops).
-    pub spec_budget: u64,
-    /// Native x86-64 engine: owns the executable code arena and the map
-    /// from specialized functions to their installed machine-code
-    /// entries. Inert (a no-op stub) on platforms without the backend.
-    native: NativeEngine,
+pub struct LocalStore {
+    staged: StagedProgram,
+    table: SiteTable,
     /// Adaptive specialization policy (`OptConfig::policy`), `None` in
     /// the default `Always` mode — the engine is consulted only on the
-    /// dispatch miss path, so `Always` behavior is bit-for-bit today's.
+    /// dispatch miss path, so `Always` behavior is bit-for-bit unchanged.
     policy: Option<PolicyEngine>,
-    /// Per-site generic continuation, compiled on first deferral. The
-    /// continuation is ordinary unspecialized code (mirrors
-    /// `SharedRuntime`'s fallback path), charged like statically
-    /// compiled code — no dynamic-compilation cycles.
+    /// Per-site generic continuation, compiled on first deferral.
     generic: Vec<Option<FuncId>>,
 }
+
+impl CodeStore for LocalStore {
+    type Code = FuncId;
+    /// The slot a hashed miss reserved (one probe sequence serves both
+    /// the miss and the fill).
+    type Vacancy = Option<usize>;
+    type Ticket = Option<usize>;
+
+    fn staged(&self) -> &StagedProgram {
+        &self.staged
+    }
+
+    #[inline]
+    fn policy(&self) -> Option<&PolicyEngine> {
+        self.policy.as_ref()
+    }
+
+    #[inline]
+    fn site(&mut self, point: u32) -> &Site {
+        &self.table.sites[point as usize]
+    }
+
+    #[inline]
+    fn probe(&mut self, lane: Lane, key: &[u64]) -> (Option<FuncId>, u32, Option<usize>) {
+        let hashed = |e: CacheEntry| match e {
+            CacheEntry::Hit { value, probes } => (Some(value), probes, None),
+            CacheEntry::Vacant { slot, probes } => (None, probes, Some(slot)),
+        };
+        match &mut self.table.caches[key[0] as usize] {
+            CacheState::One(f) => (*f, 0, None),
+            CacheState::Indexed { slots, .. } if lane == Lane::Indexed => {
+                // §3.1's proposed fast dispatch: "the lookup could be
+                // implemented as a simple array indexing, in place of
+                // DyC's current general-purpose hash-table lookup."
+                (slots[key[1] as usize], 0, None)
+            }
+            CacheState::Indexed { overflow, .. } => hashed(overflow.lookup_or_reserve(&key[1..])),
+            CacheState::All(c) => hashed(c.lookup_or_reserve(&key[1..])),
+            CacheState::Bounded { cache, clock, .. } => match cache.lookup_or_reserve(&key[1..]) {
+                CacheEntry::Hit {
+                    value: (f, idx),
+                    probes,
+                } => {
+                    // Second chance: mark the entry recently used.
+                    clock[idx as usize].1 = true;
+                    (Some(f), probes, None)
+                }
+                CacheEntry::Vacant { slot, probes } => (None, probes, Some(slot)),
+            },
+        }
+    }
+
+    fn claim(&mut self, _key: &[u64], vacancy: Option<usize>) -> Claim<FuncId, Option<usize>> {
+        Claim::Win(vacancy)
+    }
+
+    fn publish(
+        &mut self,
+        key: &[u64],
+        slot: Option<usize>,
+        func: FuncId,
+        _module: &Module,
+    ) -> (FuncId, Option<(Vec<u64>, u32)>) {
+        let point = key[0] as u32;
+        let words = &key[1..];
+        let reserved = || slot.expect("a hashed miss reserves its slot");
+        // Auto-sizing: a revival (promoted key missing again) grows the
+        // effective bound, so keys with reuse distance beyond the
+        // declared `k` stop thrashing. Bounded by `k * cap_growth_limit`.
+        let grown_cap = match (&self.policy, self.table.sites[point as usize].policy) {
+            (Some(eng), SitePolicy::CacheAllBounded(k)) => {
+                Some(eng.cap_for(point, k.max(1) as usize))
+            }
+            _ => None,
+        };
+        match &mut self.table.caches[point as usize] {
+            CacheState::One(f) => *f = Some(func),
+            CacheState::Indexed { slots, overflow } => match slot {
+                Some(s) => overflow.fill(s, words.to_vec(), func),
+                None => slots[words[0] as usize] = Some(func),
+            },
+            CacheState::All(c) => c.fill(reserved(), words.to_vec(), func),
+            CacheState::Bounded {
+                cache,
+                cap,
+                clock,
+                hand,
+            } => {
+                if let Some(nc) = grown_cap {
+                    *cap = (*cap).max(nc);
+                }
+                let (idx, evicted) = if clock.len() < *cap {
+                    clock.push((words.to_vec(), true));
+                    ((clock.len() - 1) as u32, None)
+                } else {
+                    // At capacity: sweep, clearing reference bits until an
+                    // unreferenced victim is found (bounded by one full
+                    // revolution — every bit cleared means the hand's own
+                    // slot comes up clear).
+                    let victim = loop {
+                        if clock[*hand].1 {
+                            clock[*hand].1 = false;
+                            *hand = (*hand + 1) % *cap;
+                        } else {
+                            break *hand;
+                        }
+                    };
+                    *hand = (victim + 1) % *cap;
+                    let old = std::mem::replace(&mut clock[victim], (words.to_vec(), true)).0;
+                    cache.remove(&old);
+                    (victim as u32, Some((old, victim as u32)))
+                };
+                cache.fill(reserved(), words.to_vec(), (func, idx));
+                return (func, evicted);
+            }
+        }
+        (func, None)
+    }
+
+    /// A failed specialization leaves its reserved slot unfilled — the
+    /// reservation is just an index, so that is harmless.
+    fn abandon(&mut self, _key: &[u64], _slot: Option<usize>, _err: &VmError) {}
+
+    #[inline]
+    fn resolve(&mut self, func: FuncId, _module: &mut Module) -> (FuncId, bool) {
+        (func, false)
+    }
+
+    fn generic(&mut self, point: u32, module: &mut Module) -> (FuncId, bool, bool) {
+        let p = point as usize;
+        if p >= self.generic.len() {
+            self.generic.resize(p + 1, None);
+        }
+        if let Some(f) = self.generic[p] {
+            return (f, false, false);
+        }
+        let f = module.add_func(self.table.sites[p].generic_code(&self.staged));
+        self.generic[p] = Some(f);
+        (f, true, true)
+    }
+
+    fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R {
+        f(&self.staged, &mut self.table)
+    }
+}
+
+/// Warm-start installer over a [`SiteTable`] and its module.
+struct LocalWarm<'a> {
+    table: &'a mut SiteTable,
+    module: &'a mut Module,
+}
+
+impl WarmHost for LocalWarm<'_> {
+    fn add_site(&mut self, site: Site) {
+        self.table.add_site(site);
+    }
+
+    fn install(&mut self, art: &CodeArtifact) -> Option<FuncId> {
+        let key = &art.key;
+        let state = &mut self.table.caches[art.site as usize];
+        if let CacheState::Bounded { cap, clock, .. } = state {
+            // An over-capacity bundle (snapshotted under a larger bound,
+            // say) cannot be admitted without evicting — the surplus is
+            // rejected, not installed.
+            if clock.len() >= *cap {
+                return None;
+            }
+        }
+        let f = self.module.add_func(art.to_func());
+        match state {
+            CacheState::All(c) => c.insert(key.clone(), f),
+            CacheState::One(slot) => *slot = Some(f),
+            CacheState::Indexed { slots, overflow } => match key.as_slice() {
+                [v] if *v < 256 => slots[*v as usize] = Some(f),
+                k => overflow.insert(k.to_vec(), f),
+            },
+            CacheState::Bounded { cache, clock, .. } => {
+                clock.push((key.clone(), true));
+                cache.insert(key.clone(), (f, (clock.len() - 1) as u32));
+            }
+        }
+        Some(f)
+    }
+}
+
+/// The single-threaded run-time system: the dispatch core over a
+/// [`LocalStore`]. Implements [`dyc_vm::DispatchHandler`]; attach it to a
+/// [`dyc_vm::Vm`] run with [`dyc_vm::Vm::call_with_handler`].
+pub type Runtime = Dispatcher<LocalStore>;
 
 impl Runtime {
     /// Build the run-time system for a staged program.
     pub fn new(staged: StagedProgram) -> Runtime {
-        let mut sites = Vec::new();
-        let mut caches = Vec::new();
-        for (i, e) in staged.entry_sites.iter().enumerate() {
-            let mut site = Site {
-                func: e.func,
-                block: e.block,
-                inst_idx: e.inst_idx,
-                base_store: Store::new(),
-                key_vars: e.key_vars.iter().map(|(v, _)| *v).collect(),
-                arg_vars: e.arg_vars.clone(),
-                policy: e.policy,
-                division: staged.ge.entry_divisions[i],
-                key_pos: Vec::new(),
-                dyn_pos: Vec::new(),
-            };
-            site.precompute_layout();
-            sites.push(site);
-            caches.push(CacheState::for_policy(e.policy));
+        let mut table = SiteTable::default();
+        for i in 0..staged.entry_sites.len() {
+            table.add_site(Site::entry(&staged, i));
         }
-        let trace = if staged.cfg.trace {
-            Trace::on(0)
-        } else {
-            Trace::off()
-        };
         let policy = (staged.cfg.policy == PolicyMode::Adaptive)
             .then(|| PolicyEngine::new(PolicyParams::default()));
-        Runtime {
+        let store = LocalStore {
             staged,
-            costs: DynCosts::calibrated(),
-            stats: RtStats::new(),
-            trace,
-            sites,
-            caches,
-            scratch_key: Vec::new(),
-            scratch_vals: Vec::new(),
-            spec_budget: 4_000_000,
-            native: NativeEngine::new(),
+            table,
             policy,
             generic: Vec::new(),
-        }
+        };
+        Dispatcher::with_store(store, 0, None, None, None)
     }
 
     /// The adaptive policy engine, when `OptConfig::policy` is
     /// [`PolicyMode::Adaptive`] (diagnostics and tests).
     pub fn policy_engine(&self) -> Option<&PolicyEngine> {
-        self.policy.as_ref()
-    }
-
-    /// Register an internal promotion site created during specialization;
-    /// returns its dispatch point id.
-    pub(crate) fn add_site(&mut self, site: Site) -> u32 {
-        self.stats.internal_promotions += 1;
-        let mut host = VecSiteHost {
-            sites: &mut self.sites,
-            caches: &mut self.caches,
-        };
-        host.add_site(site)
+        self.store.policy.as_ref()
     }
 
     /// Number of dispatch sites (entries + internal promotions so far).
     pub fn n_sites(&self) -> usize {
-        self.sites.len()
+        self.store.table.sites.len()
     }
 
     /// Number of entry (statically splice-created) dispatch sites. Site
     /// ids at or above this are internal promotion sites, numbered in
     /// the order their parent specializations first created them.
     pub fn n_entry_sites(&self) -> usize {
-        self.staged.entry_sites.len()
-    }
-
-    /// Number of specializations with an installed native machine-code
-    /// entry (always zero unless `OptConfig::native` is set, and on
-    /// platforms without the backend).
-    pub fn native_installed(&self) -> usize {
-        self.native.installed()
+        self.store.staged.entry_sites.len()
     }
 
     /// The site table (diagnostics).
     pub fn site(&self, id: u32) -> &Site {
-        &self.sites[id as usize]
+        &self.store.table.sites[id as usize]
     }
 
     /// Drop every specialization cached at `point`. The next dispatch
@@ -272,10 +428,7 @@ impl Runtime {
     /// and cumulative probe meters survive via
     /// [`DoubleHashCache::clear`]'s explicit-reset contract.
     pub fn invalidate_site(&mut self, point: u32) {
-        self.stats.cache_invalidations += 1;
-        self.trace
-            .rec(EventKind::CacheInvalidate, point, 0, 0, 0, 0);
-        match &mut self.caches[point as usize] {
+        match &mut self.store.table.caches[point as usize] {
             CacheState::All(c) => c.clear(),
             CacheState::One(f) => *f = None,
             CacheState::Indexed { slots, overflow } => {
@@ -290,6 +443,7 @@ impl Runtime {
                 *hand = 0;
             }
         }
+        self.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0);
     }
 
     /// Snapshot of every `(site, key, code)` binding currently cached —
@@ -298,7 +452,7 @@ impl Runtime {
     /// key; indexed sites report the canonical hashed key they would use.
     pub fn cache_entries(&self) -> Vec<(u32, Vec<u64>, FuncId)> {
         let mut out = Vec::new();
-        for (i, c) in self.caches.iter().enumerate() {
+        for (i, c) in self.store.table.caches.iter().enumerate() {
             let site = i as u32;
             match c {
                 CacheState::All(c) => {
@@ -331,33 +485,12 @@ impl Runtime {
     /// `module` must be the module this runtime installed its code into
     /// (the bundle captures the cached functions' instruction streams).
     pub fn snapshot_bundle(&self, module: &Module) -> CacheBundle {
-        let cfg = artifact::config_hash(&self.staged.cfg);
-        let prog = artifact::program_hash(&self.staged);
-        let n_entry = self.staged.entry_sites.len();
-        let sites = self.sites[n_entry..]
-            .iter()
-            .map(SiteSpec::from_site)
-            .collect();
+        let sites: Vec<&Site> = self.store.table.sites.iter().collect();
         let entries = self
             .cache_entries()
             .into_iter()
-            .map(|(site, key, fid)| {
-                let schema = self.sites[site as usize]
-                    .key_vars
-                    .iter()
-                    .map(|v| v.0)
-                    .collect();
-                artifact::artifact_for_func(cfg, prog, site, key, schema, module.func(fid))
-            })
-            .collect();
-        CacheBundle {
-            version: ARTIFACT_VERSION,
-            config_hash: cfg,
-            program_hash: prog,
-            n_entry_sites: n_entry as u32,
-            sites,
-            entries,
-        }
+            .map(|(site, key, f)| (site, key, module.func(f)));
+        artifact::snapshot(&self.store.staged, &sites, entries)
     }
 
     /// Warm-start: re-install a snapshot bundle's specializations into
@@ -367,815 +500,43 @@ impl Runtime {
     /// Verification is layered and *never* fatal. The bundle header's
     /// `(version, config-hash, program-hash)` triple and site layout
     /// must match this runtime exactly, and the runtime must not have
-    /// specialized yet (internal promotion sites are restored with
-    /// their snapshot ids, which emitted `Dispatch` instructions bake
-    /// in); otherwise every entry is rejected. Each entry then
-    /// re-verifies its own triple plus its site binding, so a corrupted
-    /// entry is dropped individually. Every rejection is metered in
-    /// [`RtStats::cache_warm_rejects`]; every installed entry in
-    /// [`RtStats::cache_warm_loads`] (and traced as a
-    /// [`EventKind::CacheWarmLoad`] event). A rejected key simply
+    /// specialized yet (internal promotion sites are restored with their
+    /// snapshot ids, which emitted `Dispatch` instructions bake in);
+    /// otherwise every entry is rejected. Each entry then re-verifies its
+    /// own triple plus its site binding, so a corrupted entry is dropped
+    /// individually. Every rejection is metered in
+    /// [`RtStats::cache_warm_rejects`](crate::RtStats), every installed
+    /// entry in [`RtStats::cache_warm_loads`](crate::RtStats) (and traced
+    /// as an [`EventKind::CacheWarmLoad`] event). A rejected key simply
     /// re-specializes on its first dispatch.
     pub fn restore_bundle(&mut self, bundle: &CacheBundle, module: &mut Module) {
-        let expect_cfg = artifact::config_hash(&self.staged.cfg);
-        let expect_prog = artifact::program_hash(&self.staged);
-        let fresh = self.sites.len() == self.staged.entry_sites.len();
-        let header_ok = bundle.version == ARTIFACT_VERSION
-            && bundle.config_hash == expect_cfg
-            && bundle.program_hash == expect_prog
-            && bundle.n_entry_sites as usize == self.staged.entry_sites.len()
-            && fresh;
-        // Internal sites must all be reconstructible before any is
-        // registered — a partial site table would shift every later id.
-        let internal: Option<Vec<Site>> = if header_ok {
-            bundle.sites.iter().map(|s| s.to_site().ok()).collect()
-        } else {
-            None
+        let store = &mut self.store;
+        // Internal promotion sites are restored with their snapshot ids,
+        // which emitted `Dispatch` instructions bake in: only a runtime
+        // that has not specialized yet can take them.
+        let fresh = store.table.sites.len() == store.staged.entry_sites.len();
+        let mut sinks = Sinks {
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+            live: None,
+            global: None,
         };
-        let Some(internal) = internal else {
-            self.stats.cache_warm_rejects += bundle.entries.len() as u64;
-            return;
+        let mut host = LocalWarm {
+            table: &mut store.table,
+            module,
         };
-        {
-            // Through the host, not `add_site`: restored sites are not
-            // *new* promotions and must not inflate that Table 2 counter.
-            let mut host = VecSiteHost {
-                sites: &mut self.sites,
-                caches: &mut self.caches,
-            };
-            for site in internal {
-                host.add_site(site);
-            }
-        }
-        let trace_on = self.trace.is_on();
-        for art in &bundle.entries {
-            let site_ok = (art.site as usize) < self.sites.len()
-                && art.key_schema
-                    == self.sites[art.site as usize]
-                        .key_vars
-                        .iter()
-                        .map(|v| v.0)
-                        .collect::<Vec<_>>();
-            if art.verify(expect_cfg, expect_prog).is_err() || !site_ok {
-                self.stats.cache_warm_rejects += 1;
-                continue;
-            }
-            let installed = match &mut self.caches[art.site as usize] {
-                CacheState::All(c) => {
-                    let fid = module.add_func(art.to_func());
-                    c.insert(art.key.clone(), fid);
-                    Some(fid)
-                }
-                CacheState::One(slot) => {
-                    let fid = module.add_func(art.to_func());
-                    *slot = Some(fid);
-                    Some(fid)
-                }
-                CacheState::Indexed { slots, overflow } => {
-                    let fid = module.add_func(art.to_func());
-                    match art.key.as_slice() {
-                        [v] if *v < 256 => slots[*v as usize] = Some(fid),
-                        key => overflow.insert(key.to_vec(), fid),
-                    }
-                    Some(fid)
-                }
-                CacheState::Bounded {
-                    cache, cap, clock, ..
-                } => {
-                    // An over-capacity bundle (snapshotted under a larger
-                    // bound, say) cannot be admitted without evicting —
-                    // the surplus is rejected, not installed.
-                    if clock.len() < *cap {
-                        let fid = module.add_func(art.to_func());
-                        clock.push((art.key.clone(), true));
-                        cache.insert(art.key.clone(), (fid, (clock.len() - 1) as u32));
-                        Some(fid)
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(fid) = installed {
-                self.stats.cache_warm_loads += 1;
-                if let Some(eng) = &self.policy {
-                    // Restored entries are already-proven keys: seed the
-                    // engine so they never defer (their dispatches are
-                    // hits anyway) and re-specialize immediately if ever
-                    // evicted.
-                    let mut pkey = Vec::with_capacity(art.key.len() + 1);
-                    pkey.push(u64::from(art.site));
-                    pkey.extend_from_slice(&art.key);
-                    eng.seed_promoted(pkey);
-                }
-                if self.staged.cfg.native {
-                    // Warm-started code never passed through a
-                    // NativeSink; lower the restored function directly.
-                    let nat = lower_func(module.func(fid));
-                    self.native_install(art.site, fid, nat);
-                }
-                if trace_on {
-                    let kh = dyc_obs::key_hash(&art.key);
-                    self.trace.rec(
-                        EventKind::CacheWarmLoad,
-                        art.site,
-                        kh,
-                        0,
-                        art.code.len() as u64,
-                        0,
-                    );
-                }
-            } else {
-                self.stats.cache_warm_rejects += 1;
-            }
-        }
-    }
-
-    /// This site's generic continuation, compiled and installed in
-    /// `module` on first use. Like the concurrent fallback path, the
-    /// continuation is ordinary unspecialized code, so it is charged
-    /// like statically compiled code — no dynamic-compilation cycles.
-    fn generic_continuation(&mut self, point: u32, module: &mut Module) -> FuncId {
-        if point as usize >= self.generic.len() {
-            self.generic.resize(point as usize + 1, None);
-        }
-        if let Some(f) = self.generic[point as usize] {
-            return f;
-        }
-        let site = &self.sites[point as usize];
-        let consts: Vec<_> = site.base_store.iter().map(|(v, val)| (*v, *val)).collect();
-        let cf = dyc_ir::codegen::codegen_region_generic(
-            &self.staged.ir.funcs[site.func],
-            site.block,
-            site.inst_idx,
-            &site.arg_vars,
-            &consts,
+        let installed = artifact::restore(
+            &store.staged,
+            bundle,
+            fresh,
+            store.policy.as_ref(),
+            &mut host,
+            &mut sinks,
         );
-        let fid = module.add_func(cf);
-        if self.staged.cfg.native {
-            // Deferred dispatches should enjoy the native backend too;
-            // the continuation is lowered once, like any installed code.
-            let art = lower_func(module.func(fid));
-            self.native_install(point, fid, art);
+        for (site, f) in installed {
+            // Warm-started code never passed through a NativeSink;
+            // lower the restored function directly.
+            self.lower(site, f, None, module);
         }
-        self.generic[point as usize] = Some(fid);
-        fid
-    }
-
-    /// Adaptive-mode hit hook: feeds the policy engine's throttling
-    /// heuristic. A no-op (no locks, no atomics) in `Always` mode.
-    fn policy_note_hit(&mut self, point: u32) {
-        if let Some(eng) = &self.policy {
-            eng.note_hit(point);
-        }
-    }
-
-    /// Adaptive-mode miss gate. Consulted after a cache miss is
-    /// detected and metered: returns the generic continuation to run
-    /// when the policy defers or throttles this specialization, `None`
-    /// when the miss should specialize as usual (always the case in
-    /// `Always` mode). `key_bits` is the site-relative cache key.
-    fn policy_gate(
-        &mut self,
-        point: u32,
-        key_bits: &[u64],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Option<FuncId> {
-        let eng = self.policy.as_ref()?;
-        let entry_site = (point as usize) < self.staged.entry_sites.len();
-        let mut pkey = Vec::with_capacity(key_bits.len() + 1);
-        pkey.push(u64::from(point));
-        pkey.extend_from_slice(key_bits);
-        let decision = eng.on_miss(&pkey, entry_site);
-        let count = u64::from(eng.count_of(&pkey));
-        let trace_on = self.trace.is_on();
-        let kh = if trace_on {
-            dyc_obs::key_hash(key_bits)
-        } else {
-            0
-        };
-        match decision {
-            PolicyDecision::Specialize { promoted } => {
-                if promoted {
-                    self.stats.policy_promotes += 1;
-                    if trace_on {
-                        self.trace.rec(
-                            EventKind::PolicyPromote,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                    }
-                }
-                None
-            }
-            PolicyDecision::Defer => {
-                self.stats.policy_defers += 1;
-                if trace_on {
-                    self.trace.rec(
-                        EventKind::PolicyDefer,
-                        point,
-                        kh,
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                }
-                Some(self.generic_continuation(point, module))
-            }
-            PolicyDecision::Throttle => {
-                self.stats.policy_throttled += 1;
-                if trace_on {
-                    self.trace.rec(
-                        EventKind::PolicyThrottle,
-                        point,
-                        kh,
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                }
-                Some(self.generic_continuation(point, module))
-            }
-        }
-    }
-
-    /// Finish a deferred dispatch: the generic continuation takes every
-    /// dispatch argument (nothing is baked in but the base store).
-    fn finish_generic(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        out_args: &mut Vec<Value>,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        out_args.extend_from_slice(args);
-        if self.staged.cfg.native {
-            if let Some(entry) = self.native.entry(func) {
-                let value = exec_entry(&entry, out_args, self, module, vm)?;
-                return Ok(DispatchOutcome::Completed { value });
-            }
-        }
-        Ok(DispatchOutcome::Invoke { func })
-    }
-
-    fn specialize(
-        &mut self,
-        point: u32,
-        key_vals: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<FuncId, VmError> {
-        let site = self.sites[point as usize].clone();
-        let mut store = site.base_store.clone();
-        for (v, val) in site.key_vars.iter().zip(key_vals) {
-            store.insert(*v, *val);
-        }
-        self.stats.specializations += 1;
-        let key_hash = if self.trace.is_on() {
-            let kb: Vec<u64> = key_vals.iter().map(|v| v.key_bits()).collect();
-            dyc_obs::key_hash(&kb)
-        } else {
-            0
-        };
-        let (dyn0, instr0) = (self.stats.dyncomp_cycles, self.stats.instrs_generated);
-        self.trace.rec(
-            EventKind::GeExecBegin,
-            point,
-            key_hash,
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
-        // True staging: sites with a precompiled entry division run the
-        // flat GE program; everything else falls back to the online
-        // specializer. Both paths emit byte-identical code.
-        let (func, native_art) = match site.division {
-            Some(d) => {
-                // Disjoint field borrows: the executor reads the staged
-                // program and meters into stats, while new promotion
-                // sites land in the site/cache vectors through the host.
-                let mut env = SpecEnv {
-                    staged: &self.staged,
-                    costs: self.costs,
-                    budget: self.spec_budget,
-                    stats: &mut self.stats,
-                    trace: &mut self.trace,
-                };
-                let mut host = VecSiteHost {
-                    sites: &mut self.sites,
-                    caches: &mut self.caches,
-                };
-                GeExecutor::run(&mut env, &mut host, point, &site, store, d, module, vm)?
-            }
-            None => (Specializer::run(self, &site, store, module, vm)?, None),
-        };
-        // Install: i-cache coherence + bookkeeping.
-        vm.flush_icache();
-        let install = self.costs.install;
-        self.charge(vm, install);
-        if self.staged.cfg.native {
-            // The GE path lowered during emission (through NativeSink);
-            // the online specializer's code is lowered here from the
-            // finished function. Either way the VM code stays installed
-            // as the always-correct fallback.
-            let art = native_art.or_else(|| lower_func(module.func(func)));
-            self.native_install(point, func, art);
-        }
-        self.trace.rec(
-            EventKind::GeExecEnd,
-            point,
-            key_hash,
-            vm.stats.total_cycles(),
-            self.stats.dyncomp_cycles - dyn0,
-            self.stats.instrs_generated - instr0,
-        );
-        if let Some(eng) = &self.policy {
-            // Feed the measured cost into the site's break-even
-            // threshold estimate.
-            eng.note_spec(point, self.stats.dyncomp_cycles - dyn0);
-        }
-        Ok(func)
-    }
-
-    /// Hand a lowered artifact to the native engine, metering the
-    /// outcome: a successful publication counts as a native install
-    /// (traced with the machine-code size); a declined lowering or an
-    /// inert platform backend counts as a fallback to the VM.
-    fn native_install(&mut self, point: u32, func: FuncId, art: Option<NativeArtifact>) {
-        match self.native.install(func, art) {
-            Some(len) => {
-                self.stats.native_installs += 1;
-                self.trace
-                    .rec(EventKind::NativeInstall, point, 0, 0, len as u64, 0);
-            }
-            None => {
-                self.stats.native_fallbacks += 1;
-                self.trace.rec(EventKind::NativeFallback, point, 0, 0, 0, 0);
-            }
-        }
-    }
-
-    pub(crate) fn charge(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dyncomp_cycles += cycles;
-        vm.stats.dyncomp_cycles += cycles;
-    }
-
-    fn charge_dispatch(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dispatch_cycles += cycles;
-        vm.stats.dispatch_cycles += cycles;
-    }
-
-    /// Cache-miss path: gather the promoted values (through the reusable
-    /// scratch buffer) and specialize.
-    fn miss(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<FuncId, VmError> {
-        let mut key_vals = std::mem::take(&mut self.scratch_vals);
-        key_vals.clear();
-        key_vals.extend(self.sites[point as usize].key_pos.iter().map(|&p| args[p]));
-        let r = self.specialize(point, &key_vals, module, vm);
-        self.scratch_vals = key_vals;
-        r
-    }
-}
-
-impl DispatchHandler for Runtime {
-    fn dispatch(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        out_args: &mut Vec<Value>,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        let site = &self.sites[point as usize];
-        if args.len() != site.arg_vars.len() {
-            return Err(VmError::Dispatch(format!(
-                "site {point}: expected {} args, got {}",
-                site.arg_vars.len(),
-                args.len()
-            )));
-        }
-        let policy = site.policy;
-        let trace_on = self.trace.is_on();
-
-        let func = match policy {
-            SitePolicy::CacheOneUnchecked => {
-                let unchecked = self.costs.dispatch_unchecked;
-                self.charge_dispatch(vm, unchecked);
-                self.stats.dispatch_unchecked += 1;
-                let cached = match &self.caches[point as usize] {
-                    CacheState::One(f) => *f,
-                    _ => unreachable!("policy/cache mismatch"),
-                };
-                // Unchecked dispatch never builds a key; events carry the
-                // empty key's hash (the FNV offset basis).
-                let kh = dyc_obs::key_hash(&[]);
-                match cached {
-                    Some(f) => {
-                        self.policy_note_hit(point);
-                        self.trace.rec(
-                            EventKind::DispatchUnchecked,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            unchecked,
-                            0,
-                        );
-                        f
-                    }
-                    None => {
-                        vm.stats.dispatch_misses += 1;
-                        self.trace.rec(
-                            EventKind::DispatchMiss,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            unchecked,
-                            0,
-                        );
-                        if let Some(g) = self.policy_gate(point, &[], module, vm) {
-                            return self.finish_generic(g, args, out_args, module, vm);
-                        }
-                        let f = self.miss(point, args, module, vm)?;
-                        self.caches[point as usize] = CacheState::One(Some(f));
-                        f
-                    }
-                }
-            }
-            SitePolicy::CacheIndexed => {
-                // §3.1's proposed fast dispatch: "the lookup could be
-                // implemented as a simple array indexing, in place of
-                // DyC's current general-purpose hash-table lookup."
-                let kv = args[self.sites[point as usize].key_pos[0]];
-                let v = kv.as_i();
-                if (0..256).contains(&v) {
-                    let idx = v as usize;
-                    let cost = self.costs.dispatch_indexed;
-                    self.charge_dispatch(vm, cost);
-                    self.stats.dispatch_indexed += 1;
-                    let cached = match &self.caches[point as usize] {
-                        CacheState::Indexed { slots, .. } => slots[idx],
-                        _ => unreachable!("policy/cache mismatch"),
-                    };
-                    let kh = if trace_on {
-                        dyc_obs::key_hash(&[kv.key_bits()])
-                    } else {
-                        0
-                    };
-                    match cached {
-                        Some(f) => {
-                            self.policy_note_hit(point);
-                            self.trace.rec(
-                                EventKind::DispatchIndexed,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                cost,
-                                0,
-                            );
-                            f
-                        }
-                        None => {
-                            vm.stats.dispatch_misses += 1;
-                            self.trace.rec(
-                                EventKind::DispatchMiss,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                cost,
-                                0,
-                            );
-                            if let Some(g) = self.policy_gate(point, &[kv.key_bits()], module, vm) {
-                                return self.finish_generic(g, args, out_args, module, vm);
-                            }
-                            let f = self.miss(point, args, module, vm)?;
-                            match &mut self.caches[point as usize] {
-                                CacheState::Indexed { slots, .. } => slots[idx] = Some(f),
-                                _ => unreachable!(),
-                            }
-                            f
-                        }
-                    }
-                } else {
-                    // Out of the indexed range: safe hashed fallback. One
-                    // probe sequence serves both hit and miss — a miss
-                    // reserves the slot the post-specialization fill uses.
-                    let kb = [kv.key_bits()];
-                    let entry = match &mut self.caches[point as usize] {
-                        CacheState::Indexed { overflow, .. } => overflow.lookup_or_reserve(&kb),
-                        _ => unreachable!("policy/cache mismatch"),
-                    };
-                    let probes = match entry {
-                        CacheEntry::Hit { probes, .. } | CacheEntry::Vacant { probes, .. } => {
-                            probes
-                        }
-                    };
-                    let cost = self.costs.hashed_dispatch(1, probes);
-                    self.charge_dispatch(vm, cost);
-                    self.stats.dispatch_hashed += 1;
-                    let kh = if trace_on { dyc_obs::key_hash(&kb) } else { 0 };
-                    match entry {
-                        CacheEntry::Hit { value, .. } => {
-                            self.policy_note_hit(point);
-                            self.trace.rec(
-                                EventKind::DispatchHit,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                cost,
-                                u64::from(probes),
-                            );
-                            value
-                        }
-                        CacheEntry::Vacant { slot, .. } => {
-                            vm.stats.dispatch_misses += 1;
-                            self.stats.dispatch_allocs += 1;
-                            self.trace.rec(
-                                EventKind::DispatchMiss,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                cost,
-                                u64::from(probes),
-                            );
-                            if let Some(g) = self.policy_gate(point, &kb, module, vm) {
-                                // The reserved slot is just an index —
-                                // leaving it unfilled is harmless.
-                                return self.finish_generic(g, args, out_args, module, vm);
-                            }
-                            let f = self.miss(point, args, module, vm)?;
-                            match &mut self.caches[point as usize] {
-                                CacheState::Indexed { overflow, .. } => {
-                                    overflow.fill(slot, kb.to_vec(), f);
-                                }
-                                _ => unreachable!(),
-                            }
-                            f
-                        }
-                    }
-                }
-            }
-            SitePolicy::CacheAll => {
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                if key.capacity() < self.sites[point as usize].key_pos.len() {
-                    self.stats.dispatch_allocs += 1;
-                }
-                key.extend(
-                    self.sites[point as usize]
-                        .key_pos
-                        .iter()
-                        .map(|&p| args[p].key_bits()),
-                );
-                let entry = match &mut self.caches[point as usize] {
-                    CacheState::All(c) => c.lookup_or_reserve(&key),
-                    _ => unreachable!("policy/cache mismatch"),
-                };
-                let probes = match entry {
-                    CacheEntry::Hit { probes, .. } | CacheEntry::Vacant { probes, .. } => probes,
-                };
-                let cost = self.costs.hashed_dispatch(key.len(), probes);
-                self.charge_dispatch(vm, cost);
-                self.stats.dispatch_hashed += 1;
-                self.stats.dispatch_probes += u64::from(probes);
-                let kh = if trace_on { dyc_obs::key_hash(&key) } else { 0 };
-                let func = match entry {
-                    CacheEntry::Hit { value, .. } => {
-                        self.policy_note_hit(point);
-                        self.trace.rec(
-                            EventKind::DispatchHit,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            cost,
-                            u64::from(probes),
-                        );
-                        value
-                    }
-                    CacheEntry::Vacant { slot, .. } => {
-                        vm.stats.dispatch_misses += 1;
-                        self.stats.dispatch_allocs += 1;
-                        self.trace.rec(
-                            EventKind::DispatchMiss,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            cost,
-                            u64::from(probes),
-                        );
-                        if let Some(g) = self.policy_gate(point, &key, module, vm) {
-                            self.scratch_key = key;
-                            return self.finish_generic(g, args, out_args, module, vm);
-                        }
-                        let f = self.miss(point, args, module, vm)?;
-                        match &mut self.caches[point as usize] {
-                            CacheState::All(c) => c.fill(slot, key.clone(), f),
-                            _ => unreachable!(),
-                        }
-                        f
-                    }
-                };
-                self.scratch_key = key;
-                func
-            }
-            SitePolicy::CacheAllBounded(_) => {
-                let mut key = std::mem::take(&mut self.scratch_key);
-                key.clear();
-                if key.capacity() < self.sites[point as usize].key_pos.len() {
-                    self.stats.dispatch_allocs += 1;
-                }
-                key.extend(
-                    self.sites[point as usize]
-                        .key_pos
-                        .iter()
-                        .map(|&p| args[p].key_bits()),
-                );
-                let entry = match &mut self.caches[point as usize] {
-                    CacheState::Bounded { cache, .. } => cache.lookup_or_reserve(&key),
-                    _ => unreachable!("policy/cache mismatch"),
-                };
-                let probes = match entry {
-                    CacheEntry::Hit { probes, .. } | CacheEntry::Vacant { probes, .. } => probes,
-                };
-                let cost = self.costs.hashed_dispatch(key.len(), probes);
-                self.charge_dispatch(vm, cost);
-                self.stats.dispatch_hashed += 1;
-                self.stats.dispatch_probes += u64::from(probes);
-                let kh = if trace_on { dyc_obs::key_hash(&key) } else { 0 };
-                let func = match entry {
-                    CacheEntry::Hit {
-                        value: (f, idx), ..
-                    } => {
-                        self.policy_note_hit(point);
-                        // Second chance: mark the entry recently used.
-                        match &mut self.caches[point as usize] {
-                            CacheState::Bounded { clock, .. } => clock[idx as usize].1 = true,
-                            _ => unreachable!(),
-                        }
-                        self.trace.rec(
-                            EventKind::DispatchHit,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            cost,
-                            u64::from(probes),
-                        );
-                        f
-                    }
-                    CacheEntry::Vacant { slot, .. } => {
-                        vm.stats.dispatch_misses += 1;
-                        self.stats.dispatch_allocs += 1;
-                        self.trace.rec(
-                            EventKind::DispatchMiss,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            cost,
-                            u64::from(probes),
-                        );
-                        if let Some(g) = self.policy_gate(point, &key, module, vm) {
-                            self.scratch_key = key;
-                            return self.finish_generic(g, args, out_args, module, vm);
-                        }
-                        let f = self.miss(point, args, module, vm)?;
-                        // Auto-sizing: a revival (promoted key missing
-                        // again) grows the effective bound, so keys with
-                        // reuse distance beyond the declared `k` stop
-                        // thrashing. Bounded by `k * cap_growth_limit`.
-                        let grown_cap = self.policy.as_ref().map(|eng| {
-                            let base = match self.sites[point as usize].policy {
-                                SitePolicy::CacheAllBounded(k) => k.max(1) as usize,
-                                _ => unreachable!("policy/cache mismatch"),
-                            };
-                            eng.cap_for(point, base)
-                        });
-                        // `(evicted key hash, victim slot)` when the fill
-                        // displaced a resident entry, recorded after the
-                        // cache borrow ends.
-                        let mut evicted: Option<(u64, u32)> = None;
-                        match &mut self.caches[point as usize] {
-                            CacheState::Bounded {
-                                cache,
-                                cap,
-                                clock,
-                                hand,
-                            } => {
-                                if let Some(nc) = grown_cap {
-                                    if nc > *cap {
-                                        *cap = nc;
-                                    }
-                                }
-                                let idx = if clock.len() < *cap {
-                                    clock.push((key.clone(), true));
-                                    (clock.len() - 1) as u32
-                                } else {
-                                    // At capacity: sweep, clearing
-                                    // reference bits until an unreferenced
-                                    // victim is found (bounded by one full
-                                    // revolution — every bit cleared means
-                                    // the hand's own slot comes up clear).
-                                    let victim = loop {
-                                        if clock[*hand].1 {
-                                            clock[*hand].1 = false;
-                                            *hand = (*hand + 1) % *cap;
-                                        } else {
-                                            break *hand;
-                                        }
-                                    };
-                                    *hand = (victim + 1) % *cap;
-                                    cache.remove(&clock[victim].0);
-                                    if trace_on {
-                                        evicted = Some((
-                                            dyc_obs::key_hash(&clock[victim].0),
-                                            victim as u32,
-                                        ));
-                                    }
-                                    clock[victim] = (key.clone(), true);
-                                    self.stats.cache_evictions += 1;
-                                    victim as u32
-                                };
-                                cache.fill(slot, key.clone(), (f, idx));
-                            }
-                            _ => unreachable!(),
-                        }
-                        if let Some((ek, slot_idx)) = evicted {
-                            self.trace.rec(
-                                EventKind::CacheEvict,
-                                point,
-                                ek,
-                                vm.stats.total_cycles(),
-                                u64::from(slot_idx),
-                                0,
-                            );
-                        }
-                        f
-                    }
-                };
-                self.scratch_key = key;
-                func
-            }
-        };
-
-        // Pass-through arguments, subset by the precomputed layout into
-        // the interpreter's reusable buffer.
-        let site = &self.sites[point as usize];
-        if out_args.capacity() < site.dyn_pos.len() {
-            self.stats.dispatch_allocs += 1;
-        }
-        out_args.extend(site.dyn_pos.iter().map(|&i| args[i]));
-        // Native fast path: when the specialized function has an
-        // installed machine-code entry, run it right here and hand the
-        // interpreter a completed result instead of a frame to push.
-        // Deliberately charges nothing to the cycle model — the modeled
-        // staged pipeline is unchanged; only wall-clock improves.
-        if self.staged.cfg.native {
-            if let Some(entry) = self.native.entry(func) {
-                let value = exec_entry(&entry, out_args, self, module, vm)?;
-                return Ok(DispatchOutcome::Completed { value });
-            }
-        }
-        Ok(DispatchOutcome::Invoke { func })
-    }
-}
-
-impl NativeDispatch for Runtime {
-    fn native_dispatch(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        // Mirror of the interpreter's `Dispatch` arm: count it, run the
-        // handler, then either take the completed value (the callee ran
-        // natively too) or interpret the specialized function.
-        vm.stats.dispatches += 1;
-        let mut out_args = Vec::new();
-        match self.dispatch(point, args, &mut out_args, module, vm)? {
-            DispatchOutcome::Completed { value } => Ok(value),
-            DispatchOutcome::Invoke { func } => vm.call_with_handler(module, self, func, &out_args),
-        }
-    }
-
-    fn native_call(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        if let Some(entry) = self.native.entry(func) {
-            return exec_entry(&entry, args, self, module, vm);
-        }
-        vm.call_with_handler(module, self, func, args)
     }
 }

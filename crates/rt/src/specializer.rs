@@ -30,12 +30,14 @@
 //! two paths' output byte-identical.
 
 use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet};
-use crate::runtime::{Runtime, Site, Store};
+use crate::ge_exec::{SpecEnv, SpecHost, SPEC_BUDGET};
+use crate::runtime::{Site, Store};
 use dyc_bta::{inst_binding, Binding, OptConfig};
 use dyc_ir::analysis::{natural_loops, Liveness, NaturalLoop};
 use dyc_ir::inst::{Inst, Term};
 use dyc_ir::{BlockId, FuncIr, IrTy, VReg};
 use dyc_lang::Policy;
+use dyc_obs::EventKind;
 use dyc_stage::live_at_point;
 use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Vm, VmError};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -72,7 +74,6 @@ pub(crate) struct Specializer {
 
     em: Emitter<UnitKey>,
     worklist: Vec<(u32, Store)>,
-    budget: u64,
     /// Program point `(block, start)` of each interned unit id.
     unit_point: Vec<(u32, u32)>,
     // Instrumentation.
@@ -89,20 +90,24 @@ pub(crate) struct Specializer {
 
 impl Specializer {
     /// Specialize `site` for the given store and install nothing — the
-    /// caller installs the returned function.
+    /// caller installs the returned function. Same contract as
+    /// [`crate::ge_exec::GeExecutor::run`]: new promotion sites go to
+    /// `host`, everything read or metered comes from `env`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         site: &Site,
         store: Store,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<FuncId, VmError> {
-        let f = rt.staged.ir.funcs[site.func].clone();
-        let sf = &rt.staged.funcs[site.func];
+        let f = env.staged.ir.funcs[site.func].clone();
+        let sf = &env.staged.funcs[site.func];
         // An online loop analysis per specialization request: the first of
         // this run's run-time analysis costs.
         let loops = natural_loops(&f);
-        rt.stats.runtime_bta_calls += 1;
+        env.sinks.stats.runtime_bta_calls += 1;
         let float_vreg: Vec<bool> = (0..f.n_vregs())
             .map(|i| f.ty(VReg(i as u32)) == IrTy::Float)
             .collect();
@@ -115,11 +120,10 @@ impl Specializer {
             policies: sf.bta.policies.clone(),
             loop_headers: loops.iter().map(|l| l.header).collect(),
             loops,
-            cfg: rt.staged.cfg,
+            cfg: env.staged.cfg,
             fidx: site.func,
-            em: Emitter::new(rt.staged.cfg, float_vreg),
+            em: Emitter::new(env.staged.cfg, float_vreg),
             worklist: Vec::new(),
-            budget: rt.spec_budget,
             unit_point: Vec::new(),
             header_units: HashMap::new(),
             unit_edges: Vec::new(),
@@ -146,11 +150,11 @@ impl Specializer {
             if spec.em.sealed(id) {
                 continue;
             }
-            spec.emit_chain(id, st, rt, module, vm)?;
+            spec.emit_chain(id, st, env, host, module, vm)?;
         }
 
         // Patch branch targets.
-        spec.em.patch_fixups(&rt.costs);
+        spec.em.patch_fixups(&env.costs);
 
         // Loop-unrolling instrumentation: classify each unrolled loop from
         // the emitted unit graph.
@@ -158,19 +162,19 @@ impl Specializer {
             if units.len() < 2 {
                 continue;
             }
-            rt.stats.loops_unrolled += 1;
+            env.sinks.stats.loops_unrolled += 1;
             if spec.loop_is_multiway(*h, units) {
-                rt.stats.multi_way_unroll = true;
+                env.sinks.stats.multi_way_unroll = true;
             }
         }
 
-        rt.stats.divisions_observed +=
+        env.sinks.stats.divisions_observed +=
             spec.division_sets.values().filter(|s| s.len() >= 2).count() as u64;
-        rt.stats.instrs_generated += spec.em.emitted() as u64;
-        rt.stats.ge_exec_cycles += spec.em.exec_cycles;
-        rt.stats.emit_cycles += spec.em.emit_cycles;
+        env.sinks.stats.instrs_generated += spec.em.emitted() as u64;
+        env.sinks.stats.ge_exec_cycles += spec.em.exec_cycles;
+        env.sinks.stats.emit_cycles += spec.em.emit_cycles;
         let cycles = spec.em.total_cycles();
-        rt.charge(vm, cycles);
+        env.charge(vm, cycles);
 
         let name = format!("{}$spec{}", spec.f.name, module.len());
         let mut cf =
@@ -200,7 +204,8 @@ impl Specializer {
         &mut self,
         id: u32,
         store: Store,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<(), VmError> {
@@ -209,7 +214,7 @@ impl Specializer {
             if self.em.sealed(id) {
                 break;
             }
-            if self.em.emitted() as u64 > self.budget {
+            if self.em.emitted() as u64 > SPEC_BUDGET {
                 return Err(VmError::Dispatch(
                     "specialization exceeded its instruction budget (non-terminating static control flow?)"
                         .into(),
@@ -223,7 +228,7 @@ impl Specializer {
             // different static-variable *sets* (§2.2.5).
             let var_set: Vec<u32> = store.keys().map(|v| v.0).collect();
             self.division_sets.entry(block).or_default().insert(var_set);
-            cur = self.emit_unit(id, store, rt, module, vm)?;
+            cur = self.emit_unit(id, store, env, host, module, vm)?;
         }
         Ok(())
     }
@@ -233,7 +238,8 @@ impl Specializer {
         &mut self,
         id: u32,
         mut store: Store,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<Option<(u32, Store)>, VmError> {
@@ -243,9 +249,9 @@ impl Specializer {
         let mut rename: HashMap<VReg, Opnd> = HashMap::new();
         let mut scratch: HashMap<u64, Reg> = HashMap::new();
         let mut buf: Vec<Emitted> = Vec::new();
-        let costs = rt.costs;
+        let costs = env.costs;
         self.em.exec_cycles += costs.per_unit;
-        rt.stats.units_emitted += 1;
+        env.sinks.stats.units_emitted += 1;
 
         let n_insts = self.f.block(block).insts.len();
         let mut promotion: Option<(usize, Vec<VReg>)> = None;
@@ -299,7 +305,7 @@ impl Specializer {
                 _ => {
                     // Online binding-time classification: the run-time
                     // analysis cost the staged path precompiles away.
-                    rt.stats.runtime_bta_calls += 1;
+                    env.sinks.stats.runtime_bta_calls += 1;
                     self.em.exec_cycles += costs.classify;
                     let is_static = |v: VReg| store.contains_key(&v);
                     match inst_binding(&inst, &is_static, &self.cfg) {
@@ -309,7 +315,7 @@ impl Specializer {
                                 &mut store,
                                 &mut rename,
                                 &costs,
-                                &mut rt.stats,
+                                env.sinks.stats,
                                 module,
                                 vm,
                             )?;
@@ -325,7 +331,7 @@ impl Specializer {
                                 &mut scratch,
                                 &mut buf,
                                 &costs,
-                                &mut rt.stats,
+                                env.sinks.stats,
                             );
                         }
                         Binding::Annotation => unreachable!("annotations handled above"),
@@ -343,7 +349,7 @@ impl Specializer {
             // Internal dynamic-to-static promotion: end the unit with a
             // dispatch that resumes specialization once the values are
             // known (§2.2.2). Another run-time liveness query.
-            rt.stats.runtime_bta_calls += 1;
+            env.sinks.stats.runtime_bta_calls += 1;
             let live_here = live_at_point(&self.f, &self.live, block, idx);
             let live_set: BTreeSet<VReg> = live_here.iter().copied().collect();
             self.em
@@ -365,7 +371,7 @@ impl Specializer {
                     .map(|v| self.policies.get(v).copied().unwrap_or(Policy::CacheAll)),
                 missing.len(),
             );
-            let site_id = rt.add_site(Site {
+            let site_id = host.add_site(Site {
                 func: self.fidx,
                 block,
                 inst_idx: idx,
@@ -378,6 +384,11 @@ impl Specializer {
                 dyn_pos: Vec::new(),
             });
             self.em.exec_cycles += costs.new_site;
+            env.note(
+                EventKind::Promotion,
+                vm.stats.total_cycles(),
+                u64::from(site_id),
+            );
             let args: Vec<Reg> = arg_vars.iter().map(|v| self.em.reg_of(*v)).collect();
             for r in &args {
                 live_regs.insert(*r);
@@ -426,27 +437,27 @@ impl Specializer {
             }
             match term {
                 Term::Jmp(t) => {
-                    chain = self.take_edge(t, &store, &mut buf, &mut live_regs, rt);
+                    chain = self.take_edge(t, &store, &mut buf, &mut live_regs, env);
                 }
                 Term::Br { cond, t, f: fb } => {
                     match self.em.resolve(cond, &store, &rename) {
                         Opnd::KI(v) => {
-                            rt.stats.branches_folded += 1;
+                            env.sinks.stats.branches_folded += 1;
                             let target = if v != 0 { t } else { fb };
-                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                         }
                         Opnd::KF(v) => {
-                            rt.stats.branches_folded += 1;
+                            env.sinks.stats.branches_folded += 1;
                             let target = if v != 0.0 { t } else { fb };
-                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                         }
                         Opnd::R(r) => {
                             live_regs.insert(r);
                             // Demote for both successors before branching.
                             let (id_t, store_t) =
-                                self.edge_unit(t, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(t, &store, &mut buf, &mut live_regs, env);
                             let (id_f, store_f) =
-                                self.edge_unit(fb, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(fb, &store, &mut buf, &mut live_regs, env);
                             // Branch to the true side; fall through to false.
                             buf.push(Emitted {
                                 ins: Instr::Brnz { cond: r, target: 0 },
@@ -476,12 +487,12 @@ impl Specializer {
                 }
                 Term::Switch { on, cases, default } => match self.em.resolve(on, &store, &rename) {
                     Opnd::KI(v) => {
-                        rt.stats.branches_folded += 1;
+                        env.sinks.stats.branches_folded += 1;
                         let target = cases
                             .iter()
                             .find_map(|(k, b)| (*k == v).then_some(*b))
                             .unwrap_or(default);
-                        chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                        chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                     }
                     Opnd::KF(_) => unreachable!("switch scrutinee is int"),
                     Opnd::R(r) => {
@@ -489,7 +500,7 @@ impl Specializer {
                         let tmp = self.em.fresh_reg();
                         for (k, target) in &cases {
                             let (cid, st) =
-                                self.edge_unit(*target, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(*target, &store, &mut buf, &mut live_regs, env);
                             buf.push(Emitted {
                                 ins: Instr::ICmp {
                                     cc: Cc::Eq,
@@ -519,7 +530,7 @@ impl Specializer {
                             }
                         }
                         let (id_d, store_d) =
-                            self.edge_unit(default, &store, &mut buf, &mut live_regs, rt);
+                            self.edge_unit(default, &store, &mut buf, &mut live_regs, env);
                         if self.em.sealed(id_d) {
                             buf.push(Emitted {
                                 ins: Instr::Jmp { target: 0 },
@@ -566,7 +577,8 @@ impl Specializer {
         }
 
         // Dynamic dead-assignment elimination + append (§2.2.7).
-        self.em.seal_unit(id, buf, live_regs, &costs, &mut rt.stats);
+        self.em
+            .seal_unit(id, buf, live_regs, &costs, env.sinks.stats);
         Ok(chain)
     }
 
@@ -580,10 +592,10 @@ impl Specializer {
         store: &Store,
         buf: &mut Vec<Emitted>,
         live_regs: &mut RegSet,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
     ) -> (u32, Store) {
-        rt.stats.runtime_bta_calls += store.len() as u64;
-        self.em.exec_cycles += rt.costs.edge_plan_per_var * store.len() as u64;
+        env.sinks.stats.runtime_bta_calls += store.len() as u64;
+        self.em.exec_cycles += env.costs.edge_plan_per_var * store.len() as u64;
         let live_in = self.live.live_in[target.index()].clone();
         let mut out = Store::new();
         for (v, val) in store {
@@ -647,9 +659,9 @@ impl Specializer {
         store: &Store,
         buf: &mut Vec<Emitted>,
         live_regs: &mut RegSet,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
     ) -> Option<(u32, Store)> {
-        let (id, st) = self.edge_unit(target, store, buf, live_regs, rt);
+        let (id, st) = self.edge_unit(target, store, buf, live_regs, env);
         if self.em.sealed(id) {
             buf.push(Emitted {
                 ins: Instr::Jmp { target: 0 },

@@ -1,8 +1,18 @@
-//! Run-time-system statistics.
+//! Run-time-system statistics and the single meter point.
 //!
 //! These counters drive the reproduction's Table 2 (which optimizations
 //! each program actually used), Table 3 (instructions generated,
 //! dynamic-compilation overhead), and the §4.4.3 dispatch-cost analysis.
+//!
+//! Every metered event of the run-time system goes through one call,
+//! `note()`. The table in `meter` decides, per [`EventKind`], which
+//! [`RtStats`] field, which global atomic (the
+//! [`ConcSnapshot`](crate::ConcSnapshot) meters) and which
+//! [`LiveMetric`]s the call bumps, and whether the event is recorded in
+//! the live flight ring as well as in the trace.
+
+use dyc_obs::{EventKind, LiveMetric, LiveThread, Trace};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters accumulated by the run-time system.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -75,9 +85,11 @@ pub struct RtStats {
     /// special case, e.g. a zero/copy fold), falling back to per-
     /// instruction emission for the rest of the unit.
     pub template_fallbacks: u64,
-    /// Heap allocations attributable to dispatch (scratch-buffer growth).
-    /// Zero on every cache-hit region entry once warm: the dispatch path
-    /// reuses its key and argument buffers.
+    /// Growths of the dispatch scratch buffers: the handler's reusable
+    /// cache-key buffer and the pass-through argument buffer. Zero on
+    /// every cache-hit region entry once warm: the dispatch path reuses
+    /// both. Cache insertions on a miss are not counted — their cost
+    /// is a specialization's, not a dispatch's.
     pub dispatch_allocs: u64,
     /// Bounded `cache_all(k)` evictions: specializations dropped by the
     /// second-chance sweep when a site hit its capacity.
@@ -224,6 +236,199 @@ impl RtStats {
     /// executor itself.
     pub fn single_flight_suppressed(&self) -> u64 {
         self.single_flight_waits + self.single_flight_fallbacks
+    }
+}
+
+/// A counter one meter point bumps by one: an [`RtStats`] field, a
+/// [`ConcStats`] atomic, or both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    Specializations,
+    FlightWaits,
+    FlightFallbacks,
+    FlightRaces,
+    Evictions,
+    Invalidations,
+    GenericContinuations,
+    WarmLoads,
+    WarmRejects,
+    NativeInstalls,
+    NativeFallbacks,
+    PolicyDefers,
+    PolicyPromotes,
+    PolicyThrottles,
+    InternalPromotions,
+}
+
+/// Number of [`Counter`]s.
+const N_COUNTERS: usize = 15;
+
+impl RtStats {
+    /// The field `c` names, if this struct has one (races and generic
+    /// continuations are shared-runtime meters only).
+    fn field(&mut self, c: Counter) -> Option<&mut u64> {
+        Some(match c {
+            Counter::Specializations => &mut self.specializations,
+            Counter::FlightWaits => &mut self.single_flight_waits,
+            Counter::FlightFallbacks => &mut self.single_flight_fallbacks,
+            Counter::Evictions => &mut self.cache_evictions,
+            Counter::Invalidations => &mut self.cache_invalidations,
+            Counter::WarmLoads => &mut self.cache_warm_loads,
+            Counter::WarmRejects => &mut self.cache_warm_rejects,
+            Counter::NativeInstalls => &mut self.native_installs,
+            Counter::NativeFallbacks => &mut self.native_fallbacks,
+            Counter::PolicyDefers => &mut self.policy_defers,
+            Counter::PolicyPromotes => &mut self.policy_promotes,
+            Counter::PolicyThrottles => &mut self.policy_throttled,
+            Counter::InternalPromotions => &mut self.internal_promotions,
+            Counter::FlightRaces | Counter::GenericContinuations => return None,
+        })
+    }
+}
+
+/// The process-wide meters of a shared runtime: one relaxed atomic per
+/// [`Counter`], summed over every thread (per-thread meters live in each
+/// handler's [`RtStats`]).
+#[derive(Debug, Default)]
+pub(crate) struct ConcStats([AtomicU64; N_COUNTERS]);
+
+impl ConcStats {
+    /// Current value of one meter.
+    pub(crate) fn get(&self, c: Counter) -> u64 {
+        self.0[c as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// What one meter point writes besides the trace (every event kind is
+/// recorded by the handler's [`Trace`] when it is on).
+struct Meter {
+    /// [`RtStats`] counter bumped by one.
+    rt: Option<Counter>,
+    /// [`ConcStats`] atomic bumped by one (shared runtimes only).
+    conc: Option<Counter>,
+    /// Live counters bumped by one (threads with telemetry attached).
+    live: &'static [LiveMetric],
+    /// Also recorded by the live flight ring, when one is attached.
+    ring: bool,
+}
+
+/// The meter table: one row per [`EventKind`].
+#[inline(always)]
+fn meter(kind: EventKind) -> Meter {
+    use Counter as C;
+    use EventKind as K;
+    use LiveMetric as L;
+    let row = |rt, conc, live, ring| Meter {
+        rt,
+        conc,
+        live,
+        ring,
+    };
+    let both = |c, live, ring| row(Some(c), Some(c), live, ring);
+    match kind {
+        K::DispatchHit | K::DispatchUnchecked | K::DispatchIndexed => {
+            row(None, None, &[L::Dispatches, L::Hits], false)
+        }
+        K::DispatchMiss => row(None, None, &[L::Dispatches, L::Misses], true),
+        K::FlightWait => both(C::FlightWaits, &[L::FlightWaits], true),
+        K::FlightFallback => both(C::FlightFallbacks, &[L::FlightFallbacks], true),
+        K::FlightRace => row(None, Some(C::FlightRaces), &[L::FlightRaces], true),
+        // A specialization counts per thread when it starts (a failed one
+        // still counts) and globally when it finishes.
+        K::GeExecBegin => row(Some(C::Specializations), None, &[], true),
+        K::GeExecEnd => row(None, Some(C::Specializations), &[L::Specializations], true),
+        K::TemplateCopy | K::HolePatch => row(None, None, &[], false),
+        K::CacheEvict => both(C::Evictions, &[L::Evictions], true),
+        K::CacheInvalidate => both(C::Invalidations, &[], false),
+        K::Promotion => row(Some(C::InternalPromotions), None, &[], false),
+        K::CacheWarmLoad => both(C::WarmLoads, &[], false),
+        K::CacheWarmReject => both(C::WarmRejects, &[], false),
+        K::GenericBuild => row(None, Some(C::GenericContinuations), &[], true),
+        K::NativeInstall => both(C::NativeInstalls, &[], true),
+        K::NativeFallback => both(C::NativeFallbacks, &[], true),
+        K::PolicyDefer => both(C::PolicyDefers, &[L::PolicyDefers], true),
+        K::PolicyPromote => both(C::PolicyPromotes, &[L::PolicyPromotes], true),
+        K::PolicyThrottle => both(C::PolicyThrottles, &[L::PolicyThrottles], true),
+    }
+}
+
+/// Everything one meter point can write to. A single-threaded runtime
+/// has no live or global sinks; a shared runtime's own (thread-less)
+/// meter points pass a scratch [`RtStats`] and an off [`Trace`].
+pub(crate) struct Sinks<'a> {
+    /// The handler's counters.
+    pub stats: &'a mut RtStats,
+    /// The handler's event recorder.
+    pub trace: &'a mut Trace,
+    /// The thread's live-telemetry handle, when attached.
+    pub live: Option<&'a LiveThread>,
+    /// The shared runtime's global meters.
+    pub global: Option<&'a ConcStats>,
+}
+
+impl Sinks<'_> {
+    /// The meter point: bump the counters `kind`'s row names and record
+    /// the event where its row says so. The key words are hashed at most
+    /// once, and only when the event is actually recorded. Always inlined,
+    /// so a warm hit with telemetry and tracing off costs a few branches.
+    #[inline(always)]
+    pub(crate) fn note(
+        &mut self,
+        kind: EventKind,
+        site: u32,
+        key_words: &[u64],
+        cycle: u64,
+        a: u64,
+        b: u64,
+    ) {
+        let m = meter(kind);
+        if let Some(f) = m.rt.and_then(|c| self.stats.field(c)) {
+            *f += 1;
+        }
+        if let (Some(c), Some(g)) = (m.conc, self.global) {
+            g.0[c as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        if self.live.is_some() || self.trace.is_on() {
+            self.record(kind, &m, site, key_words, cycle, a, b);
+        }
+    }
+
+    /// The live and recording half of [`Sinks::note`].
+    #[allow(clippy::too_many_arguments)]
+    fn record(
+        &mut self,
+        kind: EventKind,
+        m: &Meter,
+        site: u32,
+        key_words: &[u64],
+        cycle: u64,
+        a: u64,
+        b: u64,
+    ) {
+        let ring = match self.live {
+            Some(l) => {
+                for &lm in m.live {
+                    l.slot.add(lm, 1);
+                }
+                if kind == EventKind::GeExecEnd {
+                    // Per-site specialization economics for the
+                    // sampler's break-even-drift window.
+                    l.registry.note_spec(site, a);
+                }
+                l.ring.as_deref().filter(|_| m.ring)
+            }
+            None => None,
+        };
+        let traced = self.trace.is_on();
+        if traced || ring.is_some() {
+            let key = dyc_obs::key_hash(key_words);
+            if traced {
+                self.trace.rec(kind, site, key, cycle, a, b);
+            }
+            if let Some(r) = ring {
+                r.record(kind, site, key, cycle, a, b);
+            }
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! all threads. Steady-state dispatch must also stay allocation-free in
 //! every thread.
 
-use dyc::{CodeFunc, Compiler, MissPolicy, Session, SharedOptions, Value};
+use dyc::{CodeFunc, Compiler, MissPolicy, OptConfig, Session, SharedOptions, Value};
 use dyc_workloads::{all, Workload};
 use std::sync::Arc;
 
@@ -203,17 +203,21 @@ fn traced_threads_match_untraced_oracle_and_stay_allocation_free() {
         let oracle_specs = oracle.rt_stats().unwrap().specializations;
         let oracle_code = normalize(oracle.cached_code());
 
-        let shared = program.shared_runtime_with(SharedOptions {
+        // The same source with per-thread recorders on.
+        let traced = Compiler::with_config(OptConfig {
             trace: true,
-            ..SharedOptions::default()
-        });
+            ..OptConfig::all()
+        })
+        .compile(&w.source())
+        .unwrap_or_else(|e| panic!("{}: compile failed: {e}", meta.name));
+        let shared = traced.shared_runtime();
         let threads = n_threads();
         let w = Arc::new(w);
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let w = Arc::clone(&w);
                 let shared = Arc::clone(&shared);
-                let sess = program.threaded_session(&shared);
+                let sess = traced.threaded_session(&shared);
                 std::thread::spawn(move || {
                     let mut sess = sess;
                     let wl = w.as_ref().as_ref();
