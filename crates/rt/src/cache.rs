@@ -114,26 +114,29 @@ impl<V: Copy> DoubleHashCache<V> {
         self.slots.len()
     }
 
+    // The slot table's size `m` starts at 16 and grows only by doubling, so
+    // every reduction mod `m` is a mask with `m - 1`.
+
     fn h1(key: &[u64], m: usize) -> usize {
+        debug_assert!(m.is_power_of_two());
         // FNV-style fold of the key words.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for w in key {
             h ^= *w;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        (h as usize) % m
+        (h as usize) & (m - 1)
     }
 
     fn h2(key: &[u64], m: usize) -> usize {
+        debug_assert!(m.is_power_of_two());
         // Second hash must be odd so it is coprime with the power-of-two
         // table size (guarantees a full probe cycle).
         let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
         for w in key {
             h = h.rotate_left(13) ^ w.wrapping_mul(0xff51_afd7_ed55_8ccd);
         }
-        // `m` is always a power of two, so `(h % m) | 1` keeps the step
-        // odd without changing which residue class is probed.
-        ((h as usize) % m) | 1
+        ((h as usize) & (m - 1)) | 1
     }
 
     /// Probe for `key` without touching the meters — the shared-cache hit
@@ -161,7 +164,7 @@ impl<V: Copy> DoubleHashCache<V> {
                     };
                 }
                 Slot::Full(..) | Slot::Tomb => {
-                    idx = (idx + step) % m;
+                    idx = (idx + step) & (m - 1);
                     if probes as usize > m {
                         // Table full of other keys; treat as a miss.
                         return Probed {
@@ -219,9 +222,9 @@ impl<V: Copy> DoubleHashCache<V> {
                 }
                 Slot::Tomb => {
                     reuse.get_or_insert(idx);
-                    idx = (idx + step) % m;
+                    idx = (idx + step) & (m - 1);
                 }
-                Slot::Full(..) => idx = (idx + step) % m,
+                Slot::Full(..) => idx = (idx + step) & (m - 1),
             }
         }
     }
@@ -266,9 +269,9 @@ impl<V: Copy> DoubleHashCache<V> {
                 }
                 Slot::Tomb => {
                     reuse.get_or_insert(idx);
-                    idx = (idx + step) % m;
+                    idx = (idx + step) & (m - 1);
                 }
-                Slot::Full(..) => idx = (idx + step) % m,
+                Slot::Full(..) => idx = (idx + step) & (m - 1),
             }
         }
     }
@@ -294,7 +297,7 @@ impl<V: Copy> DoubleHashCache<V> {
                     return Some(v);
                 }
                 Slot::Full(..) | Slot::Tomb => {
-                    idx = (idx + step) % m;
+                    idx = (idx + step) & (m - 1);
                     if probes > m {
                         return None;
                     }

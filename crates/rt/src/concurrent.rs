@@ -126,10 +126,13 @@ struct Shard<V> {
     probes: AtomicU64,
 }
 
-/// FNV-1a over the key words — independent of the double-hash functions
-/// inside each cache shard, so shard choice doesn't correlate with probe
-/// position. Shared by [`ShardedCache`] and [`FlightMap`], so a key's
-/// cache shard and flight shard indices agree (modulo mask width).
+/// FNV-1a over the key words. Shared by [`ShardedCache`] and
+/// [`FlightMap`], so a key's cache shard and flight shard indices agree
+/// (modulo mask width). It is the same fold [`DoubleHashCache`] reduces
+/// to pick a key's start slot inside its shard, so the keys of one shard
+/// share their low start-slot bits and the shard's probe chains cluster
+/// (3.5 probes per lookup on a warm 4096-key `serve` cache). A finalized
+/// hash fixes that but costs memory; see EXPERIMENTS.md, "Lean VM loop".
 fn shard_hash(key: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in key {

@@ -184,14 +184,14 @@ impl<K: Clone + Eq + Hash, S: CodeSink> Emitter<K, S> {
         self.sink.emitted()
     }
 
-    /// Intern a unit key, returning its dense id (allocating one — and
-    /// cloning the key — only on first sight).
-    pub(crate) fn intern(&mut self, key: &K) -> u32 {
-        if let Some(&id) = self.key_ids.get(key) {
+    /// Intern a unit key, returning its dense id (allocating one, and
+    /// keeping the key, only on first sight).
+    pub(crate) fn intern(&mut self, key: K) -> u32 {
+        if let Some(&id) = self.key_ids.get(&key) {
             return id;
         }
         let id = self.labels.len() as u32;
-        self.key_ids.insert(key.clone(), id);
+        self.key_ids.insert(key, id);
         self.labels.push(u32::MAX);
         id
     }
@@ -1152,9 +1152,7 @@ impl<K: Clone + Eq + Hash, S: CodeSink> Emitter<K, S> {
             if let Some(d) = e.ins.def() {
                 live.remove(d);
             }
-            for u in e.ins.uses() {
-                live.insert(u);
-            }
+            e.ins.each_use(|u| live.insert(u));
             keep_rev.push(e);
         }
         keep_rev.reverse();
@@ -1366,10 +1364,10 @@ mod tests {
     #[test]
     fn interning_assigns_dense_ids_once() {
         let mut em = emitter(OptConfig::all(), vec![]);
-        let a = em.intern(&7);
-        let b = em.intern(&9);
+        let a = em.intern(7);
+        let b = em.intern(9);
         assert_eq!((a, b), (0, 1), "ids are dense in first-sight order");
-        assert_eq!(em.intern(&7), a, "re-interning hits the cache");
+        assert_eq!(em.intern(7), a, "re-interning hits the cache");
         assert!(!em.sealed(a) && !em.sealed(b));
 
         let costs = DynCosts::calibrated();
@@ -1378,7 +1376,7 @@ mod tests {
         assert!(em.sealed(a));
         assert!(!em.sealed(b), "sealing one unit does not label another");
         assert_eq!(
-            em.intern(&7),
+            em.intern(7),
             a,
             "interning after sealing still reuses the id"
         );
@@ -1389,8 +1387,8 @@ mod tests {
         let mut em = emitter(OptConfig::all(), vec![]);
         let costs = DynCosts::calibrated();
         let mut stats = RtStats::default();
-        let a = em.intern(&0);
-        let b = em.intern(&1);
+        let a = em.intern(0);
+        let b = em.intern(1);
 
         // Unit a branches forward to b (unsealed at fixup-record time)
         // with both an unconditional and a conditional branch.
@@ -1439,7 +1437,7 @@ mod tests {
         let mut em = emitter(OptConfig::all(), vec![]);
         let costs = DynCosts::calibrated();
         let mut stats = RtStats::default();
-        let id = em.intern(&0);
+        let id = em.intern(0);
 
         // A template-copied branch: metered at copy+patch cost, and its
         // fixup must be recorded exactly like a constructed branch's.
@@ -1473,9 +1471,9 @@ mod tests {
         let mut em = emitter(OptConfig::all(), vec![]);
         let costs = DynCosts::calibrated();
         let mut stats = RtStats::default();
-        let target = em.intern(&0);
-        let u1 = em.intern(&1);
-        let u2 = em.intern(&2);
+        let target = em.intern(0);
+        let u1 = em.intern(1);
+        let u2 = em.intern(2);
 
         em.seal_unit(
             u1,
@@ -1566,7 +1564,7 @@ mod tests {
         // r0 is dead, r1 is live; the deletable write to r0 vanishes.
         let mut em = emitter(OptConfig::all(), vec![]);
         let mut stats = RtStats::default();
-        let id = em.intern(&0);
+        let id = em.intern(0);
         let buf = vec![
             plain(Instr::MovI { dst: 0, imm: 1 }),
             plain(Instr::MovI { dst: 1, imm: 2 }),
@@ -1591,7 +1589,7 @@ mod tests {
         // instruction survives even if not live at the unit boundary.
         let mut em = emitter(OptConfig::all(), vec![]);
         let mut stats = RtStats::default();
-        let id = em.intern(&0);
+        let id = em.intern(0);
         let buf = vec![
             plain(Instr::MovI { dst: 0, imm: 1 }),
             plain(Instr::Mov { dst: 1, src: 0 }),
@@ -1608,7 +1606,7 @@ mod tests {
             .unwrap();
         let mut em = emitter(cfg, vec![]);
         let mut stats = RtStats::default();
-        let id = em.intern(&0);
+        let id = em.intern(0);
         let buf = vec![plain(Instr::MovI { dst: 0, imm: 1 })];
         em.seal_unit(id, buf, RegSet::new(), &costs, &mut stats);
         assert_eq!(em.code().len(), 1);
@@ -1617,8 +1615,8 @@ mod tests {
 
     /// Drive an identical seal/patch sequence into any backend.
     fn drive<S: CodeSink>(em: &mut Emitter<u32, S>, stats: &mut RtStats, costs: &DynCosts) {
-        let a = em.intern(&0);
-        let b = em.intern(&1);
+        let a = em.intern(0);
+        let b = em.intern(1);
         let buf_a = vec![
             kept(Instr::MovI { dst: 0, imm: 1 }),
             Emitted {

@@ -37,7 +37,7 @@ use crate::stats::{RtStats, Sinks};
 use dyc_ir::{BlockId, VReg};
 use dyc_obs::EventKind;
 use dyc_stage::{
-    ibin_special_case, AbsAlias, EdgePlan, GeDivision, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
+    ibin_special_case, AbsAlias, EdgePlan, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
     StagedProgram, Template,
 };
 use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
@@ -246,8 +246,7 @@ impl GeExecutor {
     /// Intern the unit `(division, store values)`, recording the id's
     /// division on first sight.
     fn unit_id(&mut self, division: u32, store: &Store) -> u32 {
-        let key = ge_key(division, store);
-        let id = self.em.intern(&key);
+        let id = self.em.intern(ge_key(division, store));
         if id as usize == self.unit_division.len() {
             self.unit_division.push(division);
         }
@@ -300,7 +299,10 @@ impl GeExecutor {
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<Option<(u32, Store)>, VmError> {
-        let d: GeDivision = self.gef.divisions[self.division_of(id) as usize].clone();
+        // Borrow the division through a second handle on the program
+        // rather than deep-copying it (its ops own template code) per unit.
+        let gef = Arc::clone(&self.gef);
+        let d = &gef.divisions[self.division_of(id) as usize];
         self.cur_unit = Some(id);
         let mut rename: HashMap<VReg, Opnd> = HashMap::new();
         let mut scratch: HashMap<u64, Reg> = HashMap::new();
@@ -768,7 +770,12 @@ impl GeExecutor {
             });
             live_regs.insert(r);
         }
-        let out: Store = plan.carry.iter().map(|v| (*v, store[v])).collect();
+        // Inserted in order rather than collected: `collect` would sort
+        // through a temporary buffer on every edge of every miss.
+        let mut out = Store::new();
+        for v in &plan.carry {
+            out.insert(*v, store[v]);
+        }
         let id = self.unit_id(plan.target, &out);
         if let Some(from) = self.cur_unit {
             self.unit_edges.push((from, id));

@@ -186,10 +186,9 @@ impl Specializer {
     /// Intern the unit `(block, start, store)`, recording its program
     /// point on first sight.
     fn unit_id(&mut self, block: BlockId, start: usize, store: &Store) -> u32 {
-        let key = unit_key(block, start, store);
-        let id = self.em.intern(&key);
+        let id = self.em.intern(unit_key(block, start, store));
         if id as usize == self.unit_point.len() {
-            self.unit_point.push((key.block, key.start));
+            self.unit_point.push((block.0, start as u32));
         }
         id
     }

@@ -18,7 +18,7 @@
 //! pnmconvol's I-cache blow-up without dead-assignment elimination (§4.4.4).
 
 use crate::host::HostFn;
-use crate::isa::{IAluOp, Instr};
+use crate::isa::{FAluOp, IAluOp, Instr, UnOp};
 
 /// Per-operation-class cycle costs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,32 +98,24 @@ impl CostModel {
     /// The execution cost of one instruction (host-call cost comes from
     /// [`HostFn::cost`]; dispatch cost is charged by the run-time system's
     /// dispatch policy, not here).
+    ///
+    /// The interpreter charges the same costs arm by arm while it executes
+    /// (one match per instruction), through the per-class methods below.
     pub fn instr_cost(&self, i: &Instr) -> u64 {
         match i {
             Instr::MovI { .. } | Instr::MovF { .. } => self.mov_imm,
             Instr::Mov { .. } => self.int_mov,
             Instr::FMov { .. } => self.fp_alu,
-            Instr::IAlu { op, .. } => match op {
-                IAluOp::Mul => self.int_mul,
-                IAluOp::Div | IAluOp::Rem => self.int_div,
-                _ => self.int_alu,
-            },
-            Instr::FAlu { op, .. } => match op {
-                crate::isa::FAluOp::Mul => self.fp_mul,
-                crate::isa::FAluOp::Div => self.fp_div,
-                _ => self.fp_alu,
-            },
+            Instr::IAlu { op, .. } => self.ialu(*op),
+            Instr::FAlu { op, .. } => self.falu(*op),
             Instr::ICmp { .. } => self.int_alu,
             Instr::FCmp { .. } => self.fp_alu,
-            Instr::Un { op, .. } => match op {
-                crate::isa::UnOp::NegI | crate::isa::UnOp::NotI => self.int_alu,
-                _ => self.fp_alu,
-            },
+            Instr::Un { op, .. } => self.unop(*op),
             Instr::Load { .. } => self.load,
             Instr::Store { .. } => self.store,
             Instr::Jmp { .. } => self.jmp,
             Instr::Brz { .. } | Instr::Brnz { .. } => self.branch,
-            Instr::CallHost { f, .. } => self.call + f.cost(),
+            Instr::CallHost { f, .. } => self.host_cost(*f),
             Instr::Call { .. } => self.call,
             Instr::Ret { .. } => self.call,
             // Dispatch cost is policy-dependent; the handler charges it.
@@ -132,8 +124,38 @@ impl CostModel {
         }
     }
 
+    /// Cost of an integer ALU operation.
+    #[inline]
+    pub fn ialu(&self, op: IAluOp) -> u64 {
+        match op {
+            IAluOp::Mul => self.int_mul,
+            IAluOp::Div | IAluOp::Rem => self.int_div,
+            _ => self.int_alu,
+        }
+    }
+
+    /// Cost of a floating-point ALU operation.
+    #[inline]
+    pub fn falu(&self, op: FAluOp) -> u64 {
+        match op {
+            FAluOp::Mul => self.fp_mul,
+            FAluOp::Div => self.fp_div,
+            _ => self.fp_alu,
+        }
+    }
+
+    /// Cost of a unary operation.
+    #[inline]
+    pub fn unop(&self, op: UnOp) -> u64 {
+        match op {
+            UnOp::NegI | UnOp::NotI => self.int_alu,
+            _ => self.fp_alu,
+        }
+    }
+
     /// Cost of a host function, exposed for overhead accounting when the
     /// dynamic compiler executes a *static call* at specialization time.
+    #[inline]
     pub fn host_cost(&self, f: HostFn) -> u64 {
         self.call + f.cost()
     }
@@ -148,7 +170,7 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{FAluOp, Operand};
+    use crate::isa::Operand;
 
     #[test]
     fn fp_move_costs_same_as_fp_multiply() {

@@ -16,8 +16,14 @@
 pub struct ICache {
     /// log2(line size in bytes).
     line_shift: u32,
-    /// Tag store, one entry per line; `u64::MAX` = invalid.
+    /// Tag store, one entry per line; `u64::MAX` = invalid. Its length is
+    /// a power of two, so a line's index is `line & (len - 1)`.
     tags: Vec<u64>,
+    /// The line of the previous fetch (`u64::MAX` = none). That fetch
+    /// left the line resident, and only another fetch, `flush` or
+    /// `reset` can evict it, so a fetch from it is a hit without a tag
+    /// lookup; `flush` and `reset` clear it.
+    last_line: u64,
     /// Number of accesses.
     accesses: u64,
     /// Number of misses.
@@ -48,6 +54,7 @@ impl ICache {
         ICache {
             line_shift: line_bytes.trailing_zeros(),
             tags: vec![u64::MAX; lines],
+            last_line: u64::MAX,
             accesses: 0,
             misses: 0,
         }
@@ -64,7 +71,14 @@ impl ICache {
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let line = addr >> self.line_shift;
-        let idx = (line as usize) % self.tags.len();
+        line != self.last_line && self.fetch_line(line)
+    }
+
+    /// A fetch from a line other than the previous fetch's: look up and
+    /// replace its tag.
+    fn fetch_line(&mut self, line: u64) -> bool {
+        self.last_line = line;
+        let idx = (line as usize) & (self.tags.len() - 1);
         if self.tags[idx] == line {
             false
         } else {
@@ -104,6 +118,7 @@ impl ICache {
     /// in §4.2).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
+        self.last_line = u64::MAX;
     }
 
     /// Reset statistics and contents.
@@ -160,6 +175,35 @@ mod tests {
         // granularity miss in every round.
         assert_eq!(c.misses(), 4 * body / 8);
         assert!(c.miss_ratio() > 0.12);
+    }
+
+    #[test]
+    fn last_line_memo_matches_a_tag_lookup_on_every_fetch() {
+        // Reference: the same direct-mapped cache without the memo.
+        let mut tags = [u64::MAX; 8];
+        let mut c = ICache::new(256, 32);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..20_000u64 {
+            if i.is_multiple_of(997) {
+                c.flush();
+                tags.fill(u64::MAX);
+            }
+            // Mostly sequential fetches with frequent jumps between
+            // aliasing lines, like a loop calling a distant function.
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = if x.is_multiple_of(4) {
+                (x >> 8) % 1024
+            } else {
+                i % 96
+            } * INSTR_BYTES;
+            let line = addr >> 5;
+            let slot = (line % 8) as usize;
+            let want = tags[slot] != line;
+            tags[slot] = line;
+            assert_eq!(c.access(addr), want, "fetch {i} at {addr}");
+        }
     }
 
     #[test]

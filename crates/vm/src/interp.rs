@@ -16,7 +16,7 @@ use crate::host::HostFn;
 use crate::icache::ICache;
 use crate::isa::{Cc, FAluOp, IAluOp, Instr, Operand, Reg, UnOp};
 use crate::mem::Mem;
-use crate::module::{FuncId, Module};
+use crate::module::{CodeFunc, FuncId, Module};
 use crate::stats::ExecStats;
 use crate::value::Value;
 use std::error::Error;
@@ -108,18 +108,48 @@ pub struct Vm {
     /// Values printed by the guest (the observable output).
     pub output: Vec<Value>,
     max_steps: u64,
-    /// Reusable heavy-instruction argument buffers, persisted across runs
+    /// The run loop's stacks and argument buffers, persisted across runs
     /// so a steady-state call or dispatch never touches the heap.
-    buf_call: Vec<Value>,
-    buf_disp: Vec<Value>,
+    stacks: Stacks,
 }
 
+/// One activation: a window `regs[base..]` on the register stack (the
+/// active frame's window is always the top of the stack).
+#[derive(Debug)]
 struct Frame {
     func: FuncId,
     pc: u32,
-    regs: Vec<Value>,
+    base: usize,
     /// Where the caller wants the return value.
     ret_dst: Option<Reg>,
+}
+
+/// What a run borrows from the VM for its duration and hands back: the
+/// register stack shared by all frames, the frame stack, and the argument
+/// buffers of `Call`/`CallHost`/`Dispatch` (`call`) and of the function a
+/// dispatch names (`disp`).
+#[derive(Debug, Default)]
+struct Stacks {
+    regs: Vec<Value>,
+    frames: Vec<Frame>,
+    call: Vec<Value>,
+    disp: Vec<Value>,
+}
+
+/// Why the inner loop handed control back to the frame loop.
+enum Exit {
+    /// `Call`; the arguments are in the `call` buffer.
+    Call {
+        func: FuncId,
+        dst: Option<Reg>,
+    },
+    /// `Dispatch`; the arguments are in the `call` buffer.
+    Dispatch {
+        point: u32,
+        dst: Option<Reg>,
+    },
+    Ret(Option<Value>),
+    Halt,
 }
 
 impl Vm {
@@ -132,8 +162,7 @@ impl Vm {
             stats: ExecStats::new(),
             output: Vec::new(),
             max_steps: u64::MAX,
-            buf_call: Vec::new(),
-            buf_disp: Vec::new(),
+            stacks: Stacks::default(),
         }
     }
 
@@ -192,19 +221,6 @@ impl Vm {
         self.run(module, Some(handler), func, args)
     }
 
-    fn new_frame(module: &Module, func: FuncId, args: &[Value], ret_dst: Option<Reg>) -> Frame {
-        let f = module.func(func);
-        debug_assert_eq!(args.len(), f.n_params, "arity mismatch calling {}", f.name);
-        let mut regs = vec![Value::default(); f.n_regs];
-        regs[..args.len()].copy_from_slice(args);
-        Frame {
-            func,
-            pc: 0,
-            regs,
-            ret_dst,
-        }
-    }
-
     fn run(
         &mut self,
         module: &mut Module,
@@ -212,201 +228,268 @@ impl Vm {
         func: FuncId,
         args: &[Value],
     ) -> Result<Option<Value>, VmError> {
-        // Borrow the persistent argument buffers out of `self` for the
-        // duration of the run (the handler needs `&mut Vm` alongside
-        // them), then hand them back so their capacity carries over to
-        // the next run. A reentrant run sees empty buffers and restores
-        // its own on the way out — still allocation-free once warm.
-        let mut call_vals = std::mem::take(&mut self.buf_call);
-        let mut disp_args = std::mem::take(&mut self.buf_disp);
-        let r = self.run_inner(module, handler, func, args, &mut call_vals, &mut disp_args);
-        self.buf_call = call_vals;
-        self.buf_disp = disp_args;
+        // Borrow the persistent stacks out of `self` for the duration of
+        // the run (the handler needs `&mut Vm` alongside them), then hand
+        // them back so their capacity carries over to the next run. A run
+        // re-entered from a static call sees empty stacks and hands back
+        // its own, which the outer run's then replace.
+        let mut st = std::mem::take(&mut self.stacks);
+        st.regs.clear();
+        st.frames.clear();
+        let r = self.run_frames(module, handler, func, args, &mut st);
+        self.stacks = st;
         r
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn run_inner(
+    /// The frame loop: resolves each activation's function once and runs
+    /// it in [`Vm::exec`] until a call, dispatch, return or halt.
+    fn run_frames(
         &mut self,
         module: &mut Module,
         mut handler: Option<&mut dyn DispatchHandler>,
         func: FuncId,
         args: &[Value],
-        call_vals: &mut Vec<Value>,
-        disp_args: &mut Vec<Value>,
+        st: &mut Stacks,
     ) -> Result<Option<Value>, VmError> {
-        let mut stack: Vec<Frame> = vec![Self::new_frame(module, func, args, None)];
+        let Stacks {
+            regs,
+            frames,
+            call,
+            disp,
+        } = st;
+        push_frame(module, regs, frames, func, args, None);
         let mut steps = 0u64;
-
-        'outer: while let Some(frame) = stack.last_mut() {
-            let f = module.func(frame.func);
-            if frame.pc as usize >= f.code.len() {
-                return Err(VmError::PcOutOfRange);
-            }
-            steps += 1;
-            if steps > self.max_steps {
-                return Err(VmError::StepLimit);
-            }
-
-            // Instruction fetch: cost + I-cache.
-            let addr = f.addr_of(frame.pc);
-            if let Some(ic) = &mut self.icache {
-                if ic.access(addr) {
-                    self.stats.icache_miss_cycles += self.cost.icache_miss;
+        loop {
+            let top = frames.last_mut().expect("the frame loop runs a frame");
+            let f = module.func(top.func);
+            let base = top.base;
+            match self.exec(f, &mut regs[base..], &mut top.pc, &mut steps, call)? {
+                Exit::Call { func: callee, dst } => {
+                    push_frame(module, regs, frames, callee, call, dst);
                 }
-            }
-            self.stats.instrs_executed += 1;
-
-            // Decode. Cheap instructions are handled by reference; the two
-            // that need `&mut Module` (Call frame setup, Dispatch) read
-            // their argument values into the reusable buffer so the borrow
-            // of `module` can be released without cloning the register
-            // list.
-            enum Heavy {
-                Call { func: FuncId, dst: Option<Reg> },
-                Dispatch { point: u32, dst: Option<Reg> },
-            }
-            let mut heavy: Option<Heavy> = None;
-            {
-                let instr = &f.code[frame.pc as usize];
-                self.stats.exec_cycles += self.cost.instr_cost(instr);
-                match instr {
-                    Instr::MovI { dst, imm } => {
-                        frame.regs[*dst as usize] = Value::I(*imm);
-                    }
-                    Instr::MovF { dst, imm } => {
-                        frame.regs[*dst as usize] = Value::F(*imm);
-                    }
-                    Instr::Mov { dst, src } | Instr::FMov { dst, src } => {
-                        frame.regs[*dst as usize] = frame.regs[*src as usize];
-                    }
-                    Instr::IAlu { op, dst, a, b } => {
-                        let a = frame.regs[*a as usize].as_i();
-                        let b = operand_i(&frame.regs, *b);
-                        frame.regs[*dst as usize] = Value::I(ialu(*op, a, b)?);
-                    }
-                    Instr::FAlu { op, dst, a, b } => {
-                        let a = frame.regs[*a as usize].as_f();
-                        let b = frame.regs[*b as usize].as_f();
-                        frame.regs[*dst as usize] = Value::F(falu(*op, a, b));
-                    }
-                    Instr::ICmp { cc, dst, a, b } => {
-                        let a = frame.regs[*a as usize].as_i();
-                        let b = operand_i(&frame.regs, *b);
-                        frame.regs[*dst as usize] = Value::I(icmp(*cc, a, b) as i64);
-                    }
-                    Instr::FCmp { cc, dst, a, b } => {
-                        let a = frame.regs[*a as usize].as_f();
-                        let b = frame.regs[*b as usize].as_f();
-                        frame.regs[*dst as usize] = Value::I(fcmp(*cc, a, b) as i64);
-                    }
-                    Instr::Un { op, dst, src } => {
-                        let v = frame.regs[*src as usize];
-                        frame.regs[*dst as usize] = unop(*op, v);
-                    }
-                    Instr::Load { ty, dst, base, idx } => {
-                        let addr = frame.regs[*base as usize].as_i() + operand_i(&frame.regs, *idx);
-                        frame.regs[*dst as usize] = self.mem.read(addr, *ty);
-                    }
-                    Instr::Store { ty, base, idx, src } => {
-                        let addr = frame.regs[*base as usize].as_i() + operand_i(&frame.regs, *idx);
-                        let _ = ty;
-                        self.mem.write(addr, frame.regs[*src as usize]);
-                    }
-                    Instr::Jmp { target } => {
-                        frame.pc = *target;
-                        continue 'outer;
-                    }
-                    Instr::Brz { cond, target } => {
-                        if !frame.regs[*cond as usize].is_truthy() {
-                            frame.pc = *target;
-                            continue 'outer;
-                        }
-                    }
-                    Instr::Brnz { cond, target } => {
-                        if frame.regs[*cond as usize].is_truthy() {
-                            frame.pc = *target;
-                            continue 'outer;
-                        }
-                    }
-                    Instr::Ret { src } => {
-                        let rv = src.map(|r| frame.regs[r as usize]);
-                        let ret_dst = frame.ret_dst;
-                        stack.pop();
-                        match stack.last_mut() {
-                            None => return Ok(rv),
-                            Some(caller) => {
-                                if let (Some(dst), Some(v)) = (ret_dst, rv) {
-                                    caller.regs[dst as usize] = v;
-                                }
-                                continue 'outer;
-                            }
-                        }
-                    }
-                    Instr::Halt => return Ok(None),
-                    Instr::CallHost { f, dst, args } => {
-                        let vals: Vec<Value> =
-                            args.iter().map(|&r| frame.regs[r as usize]).collect();
-                        let rv = f.eval(&vals, &mut self.output);
-                        if let (Some(d), Some(v)) = (dst, rv) {
-                            frame.regs[*d as usize] = v;
-                        }
-                    }
-                    Instr::Call { func, dst, args } => {
-                        call_vals.clear();
-                        call_vals.extend(args.iter().map(|&r| frame.regs[r as usize]));
-                        heavy = Some(Heavy::Call {
-                            func: *func,
-                            dst: *dst,
-                        });
-                    }
-                    Instr::Dispatch { point, dst, args } => {
-                        call_vals.clear();
-                        call_vals.extend(args.iter().map(|&r| frame.regs[r as usize]));
-                        heavy = Some(Heavy::Dispatch {
-                            point: *point,
-                            dst: *dst,
-                        });
-                    }
-                }
-                if heavy.is_none() {
-                    frame.pc += 1;
-                    continue 'outer;
-                }
-            }
-
-            // Heavy instructions: the borrow of `module` is released here.
-            match heavy.unwrap() {
-                Heavy::Call { func: callee, dst } => {
-                    frame.pc += 1;
-                    let new = Self::new_frame(module, callee, call_vals, dst);
-                    stack.push(new);
-                }
-                Heavy::Dispatch { point, dst } => {
-                    frame.pc += 1;
+                Exit::Dispatch { point, dst } => {
                     self.stats.dispatches += 1;
-                    disp_args.clear();
+                    disp.clear();
                     let outcome = match handler.as_deref_mut() {
                         None => return Err(VmError::NoDispatchHandler),
-                        Some(h) => h.dispatch(point, call_vals, disp_args, module, self)?,
+                        Some(h) => h.dispatch(point, call, disp, module, self)?,
                     };
                     match outcome {
                         DispatchOutcome::Invoke { func: callee } => {
                             self.stats.exec_cycles += self.cost.call;
-                            let new = Self::new_frame(module, callee, disp_args, dst);
-                            stack.push(new);
+                            push_frame(module, regs, frames, callee, disp, dst);
                         }
                         DispatchOutcome::Completed { value } => {
                             if let (Some(d), Some(v)) = (dst, value) {
-                                frame.regs[d as usize] = v;
+                                regs[base + d as usize] = v;
                             }
                         }
                     }
                 }
+                Exit::Ret(rv) => {
+                    let done = frames.pop().expect("a returning frame");
+                    regs.truncate(done.base);
+                    match frames.last() {
+                        None => return Ok(rv),
+                        Some(caller) => {
+                            if let (Some(d), Some(v)) = (done.ret_dst, rv) {
+                                regs[caller.base + d as usize] = v;
+                            }
+                        }
+                    }
+                }
+                Exit::Halt => return Ok(None),
             }
         }
-        Ok(None)
     }
+
+    /// The inner loop: executes `f` from `*pc` over the frame's register
+    /// window until an instruction that needs the frame loop (or an
+    /// error). The instruction count, execution cycles and I-cache misses
+    /// are summed in locals and reach `self.stats` before it returns, so
+    /// the dispatch handler, a re-entrant static call and the caller of
+    /// a failed run all see exactly the per-instruction totals.
+    fn exec(
+        &mut self,
+        f: &CodeFunc,
+        regs: &mut [Value],
+        pc_io: &mut u32,
+        steps: &mut u64,
+        call: &mut Vec<Value>,
+    ) -> Result<Exit, VmError> {
+        let Vm {
+            cost,
+            mem,
+            icache,
+            output,
+            max_steps,
+            ..
+        } = self;
+        let code = f.code.as_slice();
+        let mut icache = icache.as_mut();
+        // Instructions this run may still fetch before `StepLimit`.
+        let budget = *max_steps - *steps;
+        let mut pc = *pc_io as usize;
+        let (mut n, mut cycles, mut misses) = (0u64, 0u64, 0u64);
+        let exit = loop {
+            let Some(instr) = code.get(pc) else {
+                break Err(VmError::PcOutOfRange);
+            };
+            if n == budget {
+                break Err(VmError::StepLimit);
+            }
+            n += 1;
+            if let Some(ic) = icache.as_deref_mut() {
+                if ic.access(f.addr_of(pc as u32)) {
+                    misses += 1;
+                }
+            }
+            // One match both charges the cost model (the same costs as
+            // `CostModel::instr_cost`) and executes.
+            match instr {
+                Instr::MovI { dst, imm } => {
+                    cycles += cost.mov_imm;
+                    regs[*dst as usize] = Value::I(*imm);
+                }
+                Instr::MovF { dst, imm } => {
+                    cycles += cost.mov_imm;
+                    regs[*dst as usize] = Value::F(*imm);
+                }
+                Instr::Mov { dst, src } => {
+                    cycles += cost.int_mov;
+                    regs[*dst as usize] = regs[*src as usize];
+                }
+                Instr::FMov { dst, src } => {
+                    cycles += cost.fp_alu;
+                    regs[*dst as usize] = regs[*src as usize];
+                }
+                Instr::IAlu { op, dst, a, b } => {
+                    cycles += cost.ialu(*op);
+                    let a = regs[*a as usize].as_i();
+                    let b = operand_i(regs, *b);
+                    match ialu(*op, a, b) {
+                        Ok(v) => regs[*dst as usize] = Value::I(v),
+                        Err(e) => break Err(e),
+                    }
+                }
+                Instr::FAlu { op, dst, a, b } => {
+                    cycles += cost.falu(*op);
+                    let a = regs[*a as usize].as_f();
+                    let b = regs[*b as usize].as_f();
+                    regs[*dst as usize] = Value::F(falu(*op, a, b));
+                }
+                Instr::ICmp { cc, dst, a, b } => {
+                    cycles += cost.int_alu;
+                    let a = regs[*a as usize].as_i();
+                    let b = operand_i(regs, *b);
+                    regs[*dst as usize] = Value::I(icmp(*cc, a, b) as i64);
+                }
+                Instr::FCmp { cc, dst, a, b } => {
+                    cycles += cost.fp_alu;
+                    let a = regs[*a as usize].as_f();
+                    let b = regs[*b as usize].as_f();
+                    regs[*dst as usize] = Value::I(fcmp(*cc, a, b) as i64);
+                }
+                Instr::Un { op, dst, src } => {
+                    cycles += cost.unop(*op);
+                    regs[*dst as usize] = unop(*op, regs[*src as usize]);
+                }
+                Instr::Load { ty, dst, base, idx } => {
+                    cycles += cost.load;
+                    let addr = regs[*base as usize].as_i() + operand_i(regs, *idx);
+                    regs[*dst as usize] = mem.read(addr, *ty);
+                }
+                Instr::Store { base, idx, src, .. } => {
+                    cycles += cost.store;
+                    let addr = regs[*base as usize].as_i() + operand_i(regs, *idx);
+                    mem.write(addr, regs[*src as usize]);
+                }
+                Instr::Jmp { target } => {
+                    cycles += cost.jmp;
+                    pc = *target as usize;
+                    continue;
+                }
+                Instr::Brz { cond, target } => {
+                    cycles += cost.branch;
+                    if !regs[*cond as usize].is_truthy() {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Instr::Brnz { cond, target } => {
+                    cycles += cost.branch;
+                    if regs[*cond as usize].is_truthy() {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Instr::CallHost { f, dst, args } => {
+                    cycles += cost.host_cost(*f);
+                    call.clear();
+                    call.extend(args.iter().map(|&r| regs[r as usize]));
+                    let rv = f.eval(call, output);
+                    if let (Some(d), Some(v)) = (dst, rv) {
+                        regs[*d as usize] = v;
+                    }
+                }
+                Instr::Call { func, dst, args } => {
+                    cycles += cost.call;
+                    call.clear();
+                    call.extend(args.iter().map(|&r| regs[r as usize]));
+                    pc += 1;
+                    break Ok(Exit::Call {
+                        func: *func,
+                        dst: *dst,
+                    });
+                }
+                Instr::Dispatch { point, dst, args } => {
+                    // The handler charges the dispatch.
+                    call.clear();
+                    call.extend(args.iter().map(|&r| regs[r as usize]));
+                    pc += 1;
+                    break Ok(Exit::Dispatch {
+                        point: *point,
+                        dst: *dst,
+                    });
+                }
+                Instr::Ret { src } => {
+                    cycles += cost.call;
+                    break Ok(Exit::Ret(src.map(|r| regs[r as usize])));
+                }
+                Instr::Halt => break Ok(Exit::Halt),
+            }
+            pc += 1;
+        };
+        *steps += n;
+        *pc_io = pc as u32;
+        self.stats.instrs_executed += n;
+        self.stats.exec_cycles += cycles;
+        self.stats.icache_miss_cycles += misses * self.cost.icache_miss;
+        exit
+    }
+}
+
+/// Push an activation of `func` with `args` in the first registers of a
+/// fresh, zeroed window on top of the register stack.
+fn push_frame(
+    module: &Module,
+    regs: &mut Vec<Value>,
+    frames: &mut Vec<Frame>,
+    func: FuncId,
+    args: &[Value],
+    ret_dst: Option<Reg>,
+) {
+    let f = module.func(func);
+    debug_assert_eq!(args.len(), f.n_params, "arity mismatch calling {}", f.name);
+    let base = regs.len();
+    regs.resize(base + f.n_regs, Value::default());
+    regs[base..base + args.len()].copy_from_slice(args);
+    frames.push(Frame {
+        func,
+        pc: 0,
+        base,
+        ret_dst,
+    });
 }
 
 #[inline]
@@ -843,6 +926,223 @@ mod tests {
         let c = CostModel::alpha21164();
         assert_eq!(vm.stats.exec_cycles, c.mov_imm + c.fp_mul + c.call);
         assert_eq!(vm.stats.instrs_executed, 3);
+    }
+
+    #[test]
+    fn every_instruction_is_charged_its_cost_model_price() {
+        // Distinct powers of two, so charging one class's price for
+        // another's changes the total.
+        let cost = CostModel {
+            int_alu: 1,
+            int_mul: 2,
+            int_div: 4,
+            fp_alu: 8,
+            fp_mul: 16,
+            fp_div: 32,
+            mov_imm: 64,
+            int_mov: 128,
+            load: 256,
+            store: 512,
+            jmp: 1024,
+            branch: 2048,
+            call: 4096,
+            icache_miss: 0,
+        };
+        let mut m = Module::new();
+        let mut callee = crate::module::CodeFunc::new("callee", 0, 1);
+        callee.push(Instr::Ret { src: None });
+        let callee = m.add_func(callee);
+        // r0 = base address, r1 = 6 (int), r2 = 1.5 (float), r3 = scratch.
+        let mut code = vec![
+            Instr::MovI { dst: 1, imm: 6 },
+            Instr::MovF { dst: 2, imm: 1.5 },
+            Instr::Mov { dst: 3, src: 1 },
+            Instr::FMov { dst: 3, src: 2 },
+        ];
+        for op in [
+            IAluOp::Add,
+            IAluOp::Sub,
+            IAluOp::Mul,
+            IAluOp::Div,
+            IAluOp::Rem,
+            IAluOp::And,
+            IAluOp::Or,
+            IAluOp::Xor,
+            IAluOp::Shl,
+            IAluOp::Shr,
+        ] {
+            code.push(Instr::IAlu {
+                op,
+                dst: 3,
+                a: 1,
+                b: Operand::Imm(2),
+            });
+        }
+        for op in [FAluOp::Add, FAluOp::Sub, FAluOp::Mul, FAluOp::Div] {
+            code.push(Instr::FAlu {
+                op,
+                dst: 3,
+                a: 2,
+                b: 2,
+            });
+        }
+        code.push(Instr::ICmp {
+            cc: Cc::Lt,
+            dst: 3,
+            a: 1,
+            b: Operand::Reg(1),
+        });
+        code.push(Instr::FCmp {
+            cc: Cc::Le,
+            dst: 3,
+            a: 2,
+            b: 2,
+        });
+        for (op, src) in [
+            (UnOp::NegI, 1),
+            (UnOp::NotI, 1),
+            (UnOp::NegF, 2),
+            (UnOp::IToF, 1),
+            (UnOp::FToI, 2),
+        ] {
+            code.push(Instr::Un { op, dst: 3, src });
+        }
+        code.push(Instr::Store {
+            ty: Ty::Int,
+            base: 0,
+            idx: Operand::Imm(0),
+            src: 1,
+        });
+        code.push(Instr::Load {
+            ty: Ty::Int,
+            dst: 3,
+            base: 0,
+            idx: Operand::Imm(0),
+        });
+        code.push(Instr::CallHost {
+            f: HostFn::Sqrt,
+            dst: Some(3),
+            args: vec![2],
+        });
+        code.push(Instr::Call {
+            func: callee,
+            dst: None,
+            args: vec![],
+        });
+        let n = code.len() as u32;
+        code.push(Instr::Jmp { target: n + 1 });
+        code.push(Instr::Brz {
+            cond: 1,
+            target: n + 2,
+        });
+        code.push(Instr::Brnz {
+            cond: 1,
+            target: n + 3,
+        });
+        code.push(Instr::Ret { src: None });
+        let mut f = crate::module::CodeFunc::new("every", 1, 4);
+        for i in &code {
+            f.push(i.clone());
+        }
+        let id = m.add_func(f);
+        let want: u64 = code.iter().map(|i| cost.instr_cost(i)).sum::<u64>() + cost.call;
+        let mut vm = Vm::without_icache(cost);
+        let base = vm.mem.alloc(1);
+        vm.call(&mut m, id, &[Value::I(base)]).unwrap();
+        assert_eq!(vm.stats.instrs_executed, code.len() as u64 + 1);
+        assert_eq!(vm.stats.exec_cycles, want);
+    }
+
+    #[test]
+    fn counters_are_exact_at_every_exit() {
+        // Every error, and the dispatch handler, sees the counters of
+        // exactly the instructions fetched so far, the faulting one
+        // included (a step-limit fault fetches nothing).
+        fn func(m: &mut Module, name: &str, code: Vec<Instr>) -> FuncId {
+            let mut f = crate::module::CodeFunc::new(name, 0, 3);
+            for i in code {
+                f.push(i);
+            }
+            m.add_func(f)
+        }
+        fn stats(instrs: u64, exec: u64, misses: u64, dispatches: u64) -> ExecStats {
+            ExecStats {
+                exec_cycles: exec,
+                icache_miss_cycles: misses * CostModel::alpha21164().icache_miss,
+                instrs_executed: instrs,
+                dispatches,
+                ..ExecStats::new()
+            }
+        }
+        let mov = Instr::MovI { dst: 0, imm: 0 };
+        let dispatch = Instr::Dispatch {
+            point: 0,
+            dst: None,
+            args: vec![0],
+        };
+
+        // Step limit inside a callee: 2 outer + 8 inner instructions,
+        // one line of each function fetched.
+        let mut m = Module::new();
+        let spin = func(&mut m, "spin", vec![Instr::Jmp { target: 0 }]);
+        let call = Instr::Call {
+            func: spin,
+            dst: None,
+            args: vec![],
+        };
+        let outer = func(&mut m, "outer", vec![mov.clone(), call]);
+        let mut vm = Vm::new(CostModel::alpha21164());
+        vm.set_step_limit(10);
+        assert_eq!(vm.call(&mut m, outer, &[]), Err(VmError::StepLimit));
+        assert_eq!(vm.stats, stats(10, 1 + 6 + 8, 2, 0));
+
+        let mut m = Module::new();
+        let id = func(&mut m, "t", vec![mov.clone()]);
+        let mut vm = Vm::new(CostModel::alpha21164());
+        assert_eq!(vm.call(&mut m, id, &[]), Err(VmError::PcOutOfRange));
+        assert_eq!(vm.stats, stats(1, 1, 1, 0));
+
+        let div = Instr::IAlu {
+            op: IAluOp::Div,
+            dst: 1,
+            a: 0,
+            b: Operand::Reg(0),
+        };
+        let id = func(&mut m, "div", vec![mov.clone(), div]);
+        let mut vm = Vm::new(CostModel::alpha21164());
+        assert_eq!(vm.call(&mut m, id, &[]), Err(VmError::DivideByZero));
+        assert_eq!(vm.stats, stats(2, 1 + 40, 1, 0));
+
+        let id = func(&mut m, "disp", vec![mov, dispatch, Instr::Halt]);
+        let mut vm = Vm::new(CostModel::alpha21164());
+        assert_eq!(vm.call(&mut m, id, &[]), Err(VmError::NoDispatchHandler));
+        assert_eq!(vm.stats, stats(2, 1, 1, 1));
+
+        struct Failing(Option<ExecStats>);
+        impl DispatchHandler for Failing {
+            fn dispatch(
+                &mut self,
+                _point: u32,
+                _args: &[Value],
+                _out_args: &mut Vec<Value>,
+                _module: &mut Module,
+                vm: &mut Vm,
+            ) -> Result<DispatchOutcome, VmError> {
+                self.0 = Some(vm.stats.clone());
+                vm.stats.dispatch_cycles += 10;
+                Err(VmError::Dispatch("no code".into()))
+            }
+        }
+        let mut h = Failing(None);
+        let mut vm = Vm::new(CostModel::alpha21164());
+        assert_eq!(
+            vm.call_with_handler(&mut m, &mut h, id, &[]),
+            Err(VmError::Dispatch("no code".into()))
+        );
+        assert_eq!(h.0, Some(stats(2, 1, 1, 1)));
+        let mut want = stats(2, 1, 1, 1);
+        want.dispatch_cycles = 10;
+        assert_eq!(vm.stats, want);
     }
 
     #[test]

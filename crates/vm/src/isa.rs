@@ -237,40 +237,50 @@ impl Instr {
 
     /// Registers read by this instruction.
     pub fn uses(&self) -> Vec<Reg> {
-        fn op(out: &mut Vec<Reg>, o: &Operand) {
+        let mut out = Vec::new();
+        self.each_use(|r| out.push(r));
+        out
+    }
+
+    /// Call `f` on each register this instruction reads, in the order of
+    /// [`Instr::uses`], without collecting them.
+    pub fn each_use(&self, mut f: impl FnMut(Reg)) {
+        fn op(f: &mut impl FnMut(Reg), o: &Operand) {
             if let Operand::Reg(r) = *o {
-                out.push(r);
+                f(r);
             }
         }
-        let mut out = Vec::new();
         match self {
-            Instr::Mov { src, .. } | Instr::FMov { src, .. } => out.push(*src),
+            Instr::Mov { src, .. } | Instr::FMov { src, .. } => f(*src),
             Instr::IAlu { a, b, .. } | Instr::ICmp { a, b, .. } => {
-                out.push(*a);
-                op(&mut out, b);
+                f(*a);
+                op(&mut f, b);
             }
             Instr::FAlu { a, b, .. } | Instr::FCmp { a, b, .. } => {
-                out.push(*a);
-                out.push(*b);
+                f(*a);
+                f(*b);
             }
-            Instr::Un { src, .. } => out.push(*src),
+            Instr::Un { src, .. } => f(*src),
             Instr::Load { base, idx, .. } => {
-                out.push(*base);
-                op(&mut out, idx);
+                f(*base);
+                op(&mut f, idx);
             }
             Instr::Store { base, idx, src, .. } => {
-                out.push(*base);
-                op(&mut out, idx);
-                out.push(*src);
+                f(*base);
+                op(&mut f, idx);
+                f(*src);
             }
-            Instr::Brz { cond, .. } | Instr::Brnz { cond, .. } => out.push(*cond),
+            Instr::Brz { cond, .. } | Instr::Brnz { cond, .. } => f(*cond),
             Instr::CallHost { args, .. }
             | Instr::Call { args, .. }
-            | Instr::Dispatch { args, .. } => out.extend(args.iter().copied()),
-            Instr::Ret { src } => out.extend(src.iter().copied()),
+            | Instr::Dispatch { args, .. } => {
+                for r in args {
+                    f(*r);
+                }
+            }
+            Instr::Ret { src: Some(r) } => f(*r),
             _ => {}
         }
-        out
     }
 
     /// True for instructions with no side effects other than writing `dst`

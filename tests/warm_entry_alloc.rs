@@ -1,0 +1,114 @@
+//! A cache-hit region entry never touches the heap (DESIGN.md §9).
+//!
+//! The binary installs a counting global allocator. Counting is armed
+//! per thread, so allocations made by other tests running in parallel,
+//! or by this test outside the armed window, are not counted. The
+//! region is the serving harness's `serve(key, x)`: once every key has
+//! been specialized, further calls are dispatch hits, and the whole call
+//! (argument passing, frames, dispatch, the specialized body, return)
+//! must allocate nothing, through the single-threaded runtime and
+//! through one thread of the shared runtime alike.
+
+use dyc::{Compiler, Session, Value};
+use dyc_bench::traffic::{expected, serve_source};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when they can no longer be read.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            COUNT.with(|c| c.set(c.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counting touches only const-initialized thread-locals,
+// which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    COUNT.with(|c| c.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    COUNT.with(Cell::get)
+}
+
+const KEYS: i64 = 16;
+
+/// Specialize every key, then count the allocations of two rounds of
+/// warm calls, one call per key each.
+fn warm_call_allocations(mut sess: Session) -> [u64; 2] {
+    let round = |sess: &mut Session| {
+        for key in 0..KEYS {
+            let out = sess.run("serve", &[Value::I(key), Value::I(3)]);
+            assert_eq!(out, Ok(Some(Value::I(expected(key, 3)))), "serve({key}, 3)");
+        }
+    };
+    round(&mut sess);
+    let specs = sess.rt_stats().expect("dynamic session").specializations;
+    let counts = [
+        allocations(|| round(&mut sess)),
+        allocations(|| round(&mut sess)),
+    ];
+    assert_eq!(
+        sess.rt_stats().expect("dynamic session").specializations,
+        specs,
+        "warm calls must all hit"
+    );
+    counts
+}
+
+#[test]
+fn warm_serve_through_a_dynamic_session_allocates_nothing() {
+    let program = Compiler::new().compile(&serve_source(None)).unwrap();
+    // The single-threaded store grows a double-hash table on the first
+    // lookup after the insert that filled it to half load (here the
+    // 16th key in 32 slots), hit or miss: one allocation per doubling,
+    // paid by the first warm call. Every later warm call allocates
+    // nothing.
+    assert_eq!(warm_call_allocations(program.dynamic_session()), [1, 0]);
+}
+
+#[test]
+fn warm_serve_through_a_threaded_session_allocates_nothing() {
+    let program = Compiler::new().compile(&serve_source(None)).unwrap();
+    let shared = program.shared_runtime();
+    assert_eq!(
+        warm_call_allocations(program.threaded_session(&shared)),
+        [0, 0]
+    );
+}
