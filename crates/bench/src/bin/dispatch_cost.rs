@@ -80,62 +80,8 @@ fn per_dispatch_shared(threads: usize, keys: &[i64]) -> (f64, dyc_rt::ConcSnapsh
     (per_thread[0], shared.stats())
 }
 
-/// Guard for the emitter's FNV-1a unit-key interner: hashing the
-/// dispatch-key mix through [`dyc_rt::FnvBuild`] must not be slower
-/// than the SipHash default it replaced. Wall-clock, so the bound is
-/// deliberately loose (2x, best of three) — this catches an
-/// order-of-magnitude regression, not noise.
-fn interning_guard() {
-    use std::collections::HashMap;
-    use std::time::Instant;
-
-    let keys: Vec<u64> = (0..4096u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    type InternRound = Box<dyn FnMut(&[u64]) -> u64>;
-    let time_with = |mut insert: InternRound| {
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let mut acc = 0u64;
-                for _ in 0..64 {
-                    acc = acc.wrapping_add(insert(&keys));
-                }
-                std::hint::black_box(acc);
-                start.elapsed().as_nanos()
-            })
-            .min()
-            .unwrap()
-    };
-    let fnv_ns = time_with(Box::new(|ks| {
-        let mut m: HashMap<u64, u32, dyc_rt::FnvBuild> = HashMap::default();
-        for (i, &k) in ks.iter().enumerate() {
-            m.insert(k, i as u32);
-        }
-        ks.iter().map(|k| m[k] as u64).sum()
-    }));
-    let sip_ns = time_with(Box::new(|ks| {
-        let mut m: HashMap<u64, u32> = HashMap::new();
-        for (i, &k) in ks.iter().enumerate() {
-            m.insert(k, i as u32);
-        }
-        ks.iter().map(|k| m[k] as u64).sum()
-    }));
-    println!(
-        "unit-key interning (4096 keys x64, best of 3): fnv {:.2} ms, siphash {:.2} ms",
-        fnv_ns as f64 / 1e6,
-        sip_ns as f64 / 1e6
-    );
-    assert!(
-        fnv_ns <= sip_ns * 2,
-        "FNV-1a unit-key interning regressed: {fnv_ns} ns vs siphash {sip_ns} ns"
-    );
-}
-
 fn main() {
     println!("Dispatch cost per region entry (cycles), reproduction of §4.4.3\n");
-    interning_guard();
-    println!();
     let unchecked = per_dispatch("region_unchecked", &[7]);
     println!("cache-one-unchecked (load + indirect jump) : {unchecked:>6.1}   (paper: ~10)");
     let hashed_one = per_dispatch("region", &[7]);

@@ -110,18 +110,36 @@ impl Inst {
 
     /// Registers read.
     pub fn uses(&self) -> Vec<VReg> {
+        let mut out = Vec::new();
+        self.each_use(|v| out.push(v));
+        out
+    }
+
+    /// Call `f` on each register this instruction reads, in the order of
+    /// [`Inst::uses`], without collecting them.
+    pub fn each_use(&self, mut f: impl FnMut(VReg)) {
         match self {
-            Inst::ConstI { .. } | Inst::ConstF { .. } => vec![],
-            Inst::Copy { src, .. } | Inst::Un { src, .. } => vec![*src],
+            Inst::ConstI { .. } | Inst::ConstF { .. } => {}
+            Inst::Copy { src, .. } | Inst::Un { src, .. } => f(*src),
             Inst::IBin { a, b, .. }
             | Inst::FBin { a, b, .. }
             | Inst::ICmp { a, b, .. }
-            | Inst::FCmp { a, b, .. } => vec![*a, *b],
-            Inst::Load { base, idx, .. } => vec![*base, *idx],
-            Inst::Store { base, idx, src, .. } => vec![*base, *idx, *src],
-            Inst::Call { args, .. } => args.clone(),
+            | Inst::FCmp { a, b, .. } => {
+                f(*a);
+                f(*b);
+            }
+            Inst::Load { base, idx, .. } => {
+                f(*base);
+                f(*idx);
+            }
+            Inst::Store { base, idx, src, .. } => {
+                f(*base);
+                f(*idx);
+                f(*src);
+            }
+            Inst::Call { args, .. } => args.iter().copied().for_each(f),
             // Annotations read nothing at run time; they direct the BTA.
-            Inst::MakeStatic { .. } | Inst::MakeDynamic { .. } | Inst::Promote { .. } => vec![],
+            Inst::MakeStatic { .. } | Inst::MakeDynamic { .. } | Inst::Promote { .. } => {}
         }
     }
 
@@ -230,6 +248,29 @@ mod tests {
         };
         assert_eq!(i.def(), Some(VReg(2)));
         assert_eq!(i.uses(), vec![VReg(0), VReg(1)]);
+    }
+
+    #[test]
+    fn each_use_visits_operands_in_order() {
+        let visited = |i: &Inst| {
+            let mut out = Vec::new();
+            i.each_use(|v| out.push(v));
+            out
+        };
+        let store = Inst::Store {
+            ty: IrTy::Int,
+            base: VReg(4),
+            idx: VReg(5),
+            src: VReg(6),
+        };
+        assert_eq!(visited(&store), vec![VReg(4), VReg(5), VReg(6)]);
+        let call = Inst::Call {
+            callee: Callee::Host(HostFn::Cos),
+            dst: None,
+            args: vec![VReg(9), VReg(7), VReg(8), VReg(7)],
+        };
+        assert_eq!(visited(&call), vec![VReg(9), VReg(7), VReg(8), VReg(7)]);
+        assert!(visited(&Inst::Promote { var: VReg(1) }).is_empty());
     }
 
     #[test]

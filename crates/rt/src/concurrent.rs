@@ -1119,8 +1119,14 @@ impl CodeStore for SharedStore {
         (f, built, fresh)
     }
 
-    fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R {
-        f(&self.shared.staged, &mut &*self.shared)
+    fn with_spec<R>(
+        &mut self,
+        point: u32,
+        f: impl FnOnce(&StagedProgram, &Site, &mut dyn SpecHost) -> R,
+    ) -> R {
+        self.site(point);
+        let entry = Arc::clone(&self.site_cache[point as usize]);
+        f(&self.shared.staged, &entry.site, &mut &*self.shared)
     }
 }
 

@@ -60,5 +60,5 @@ pub use ge_exec::GeExecutor;
 pub use native::{lower_func, NativeArtifact, NativeDispatch, NativeEngine};
 pub use policy::{PolicyDecision, PolicyEngine, PolicyParams};
 pub use runtime::{LocalStore, Runtime, Site, Store};
-pub use sink::{fnv1a, CodeSink, FnvBuild, InstallSink, NativeSink, RecordingSink, VmSink};
+pub use sink::{fnv1a, CodeSink, InstallSink, NativeSink, RecordingSink, VmSink};
 pub use stats::RtStats;

@@ -21,6 +21,7 @@ use dyc_obs::EventKind;
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, Value, VmError};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The static store: concrete values of the static variables.
 pub type Store = BTreeMap<VReg, Value>;
@@ -158,10 +159,11 @@ impl CacheState {
 }
 
 /// The site table with one cache per site — the [`SpecHost`] new
-/// internal promotion sites are registered in.
+/// internal promotion sites are registered in. Sites are shared, so a
+/// specialization reads its own site while registering new ones.
 #[derive(Debug, Default)]
 struct SiteTable {
-    sites: Vec<Site>,
+    sites: Vec<Arc<Site>>,
     caches: Vec<CacheState>,
 }
 
@@ -170,7 +172,7 @@ impl SpecHost for SiteTable {
         let id = self.sites.len() as u32;
         site.precompute_layout();
         self.caches.push(CacheState::for_policy(site.policy));
-        self.sites.push(site);
+        self.sites.push(Arc::new(site));
         id
     }
 }
@@ -332,8 +334,13 @@ impl CodeStore for LocalStore {
         (f, true, true)
     }
 
-    fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R {
-        f(&self.staged, &mut self.table)
+    fn with_spec<R>(
+        &mut self,
+        point: u32,
+        f: impl FnOnce(&StagedProgram, &Site, &mut dyn SpecHost) -> R,
+    ) -> R {
+        let site = Arc::clone(&self.table.sites[point as usize]);
+        f(&self.staged, &site, &mut self.table)
     }
 }
 
@@ -485,7 +492,7 @@ impl Runtime {
     /// `module` must be the module this runtime installed its code into
     /// (the bundle captures the cached functions' instruction streams).
     pub fn snapshot_bundle(&self, module: &Module) -> CacheBundle {
-        let sites: Vec<&Site> = self.store.table.sites.iter().collect();
+        let sites: Vec<&Site> = self.store.table.sites.iter().map(|s| &**s).collect();
         let entries = self
             .cache_entries()
             .into_iter()

@@ -21,10 +21,10 @@
 //!   serializable artifact.
 //! * [`RecordingSink`] — logs every sink call verbatim for tests.
 //!
-//! The module also hosts the FNV-1a hasher the emitter's unit-key
-//! interner uses (the same function the concurrent shard selector and
-//! `dyc-obs` key hashing use), replacing the std SipHash state that
-//! dominated intern cost.
+//! The module also hosts the FNV-1a constants and hasher: artifacts are
+//! fingerprinted with [`fnv1a`], and the emitter's unit-key interner
+//! folds its key words with the same constants (the function the
+//! concurrent shard selector and `dyc-obs` key hashing use).
 
 use dyc_vm::Instr;
 
@@ -299,22 +299,6 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-/// `BuildHasher` plugging [`FnvHasher`] into std collections. Unit-key
-/// interning is one hash per unit *reference* on the specialization hot
-/// path; FNV-1a over the key bytes is both cheaper than SipHash and the
-/// hash family the rest of the runtime (shard selector, `dyc-obs`
-/// key hashing) already standardizes on.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
-
 /// One-shot FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     use std::hash::Hasher as _;
@@ -411,13 +395,5 @@ mod tests {
         assert_eq!(fnv1a(b""), FNV_OFFSET);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn fnv_build_hashes_via_std_hasher_plumbing() {
-        use std::hash::{BuildHasher, Hasher};
-        let mut h = FnvBuild.build_hasher();
-        h.write(b"foobar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 }

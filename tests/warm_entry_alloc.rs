@@ -1,4 +1,5 @@
-//! A cache-hit region entry never touches the heap (DESIGN.md §9).
+//! A cache-hit region entry never touches the heap, and a miss allocates
+//! only what it publishes (DESIGN.md §9).
 //!
 //! The binary installs a counting global allocator. Counting is armed
 //! per thread, so allocations made by other tests running in parallel,
@@ -8,6 +9,14 @@
 //! (argument passing, frames, dispatch, the specialized body, return)
 //! must allocate nothing, through the single-threaded runtime and
 //! through one thread of the shared runtime alike.
+//!
+//! A miss reuses the dispatch core's specialization scratch, so once it
+//! has grown, what a miss still allocates is what it publishes — the
+//! module copy of the code and its name (plus, in the shared runtime,
+//! the registry copy, the flight and its key), the cache and clock
+//! copies of the key — and one static store per unit edge (`Store` is a
+//! `BTreeMap`). The churn tests pin that count on a bounded site whose
+//! tables are already full, so every miss also evicts.
 
 use dyc::{Compiler, Session, Value};
 use dyc_bench::traffic::{expected, serve_source};
@@ -110,5 +119,59 @@ fn warm_serve_through_a_threaded_session_allocates_nothing() {
     assert_eq!(
         warm_call_allocations(program.threaded_session(&shared)),
         [0, 0]
+    );
+}
+
+/// Keys specialized before counting, so the tables and the scratch have
+/// grown (and the 256-entry site has been evicting for a while).
+const WARM_KEYS: i64 = 2_000;
+/// Misses counted, each on a key never seen before.
+const FRESH_KEYS: i64 = 1_000;
+
+/// Warm `sess` with [`WARM_KEYS`] distinct keys, then count the
+/// allocations of [`FRESH_KEYS`] misses, each result checked.
+fn churn_miss_allocations(mut sess: Session) -> u64 {
+    let call = |sess: &mut Session, key: i64| {
+        let out = sess.run("serve", &[Value::I(key), Value::I(3)]);
+        assert_eq!(out, Ok(Some(Value::I(expected(key, 3)))), "serve({key}, 3)");
+    };
+    for key in 0..WARM_KEYS {
+        call(&mut sess, key);
+    }
+    let specs = sess.rt_stats().expect("dynamic session").specializations;
+    let count = allocations(|| {
+        for key in WARM_KEYS..WARM_KEYS + FRESH_KEYS {
+            call(&mut sess, key);
+        }
+    });
+    assert_eq!(
+        sess.rt_stats().expect("dynamic session").specializations,
+        specs + FRESH_KEYS as u64,
+        "every fresh key misses"
+    );
+    assert!(
+        count <= 32 * FRESH_KEYS as u64,
+        "{count} allocations over {FRESH_KEYS} misses: more than 32 per miss"
+    );
+    count
+}
+
+#[test]
+fn churn_misses_through_a_dynamic_session_allocate_only_what_they_publish() {
+    let program = Compiler::new().compile(&serve_source(Some(256))).unwrap();
+    // 16.0 per miss; 137.4 before the specialization scratch.
+    assert_eq!(churn_miss_allocations(program.dynamic_session()), 16_005);
+}
+
+#[test]
+fn churn_misses_through_a_threaded_session_allocate_only_what_they_publish() {
+    let program = Compiler::new().compile(&serve_source(Some(256))).unwrap();
+    let shared = program.shared_runtime();
+    // 22.0 per miss, 143.4 before the specialization scratch: the shared
+    // runtime also publishes the registry copy of the code, and a flight
+    // keyed in its wait-map.
+    assert_eq!(
+        churn_miss_allocations(program.threaded_session(&shared)),
+        22_003
     );
 }
