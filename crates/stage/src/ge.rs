@@ -46,7 +46,7 @@ use dyc_ir::analysis::{natural_loops, NaturalLoop};
 use dyc_ir::inst::{Inst, Term};
 use dyc_ir::{BlockId, FuncIr, IrTy, ProgramIr, VReg};
 use dyc_lang::Policy;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Per-function division cap: a region whose set-level division graph
@@ -212,10 +212,9 @@ pub struct GeFunc {
     pub float_vreg: Vec<bool>,
     /// Whether the function returns a value (promotion dispatch layout).
     pub ret_has_value: bool,
-    /// Natural loops (instrumentation: unroll classification only).
+    /// Natural loops (instrumentation: unroll detection and
+    /// classification only).
     pub loops: Vec<NaturalLoop>,
-    /// Loop headers (instrumentation: unroll detection only).
-    pub loop_headers: HashSet<BlockId>,
 }
 
 /// GE programs for a whole staged program.
@@ -294,7 +293,6 @@ fn lower_func(
         lw.divisions[d as usize] = Some(div);
     }
     let loops = natural_loops(f);
-    let loop_headers: HashSet<BlockId> = loops.iter().map(|l| l.header).collect();
     let float_vreg: Vec<bool> = (0..f.n_vregs())
         .map(|i| f.ty(VReg(i as u32)) == IrTy::Float)
         .collect();
@@ -307,7 +305,6 @@ fn lower_func(
         float_vreg,
         ret_has_value: f.ret_ty.is_some(),
         loops,
-        loop_headers,
     };
     if cfg.template_fusion {
         crate::template::fuse_ge_func(&mut gef, cfg);
