@@ -150,8 +150,8 @@ enum Resolved<C> {
 /// The warm hit path is allocation-free and statically dispatched: it
 /// reuses the key buffer, probes the store, charges the cycle model and
 /// notes the hit. The miss path reuses the specialization scratch beside
-/// the key buffer, so it allocates only what it publishes and the static
-/// stores of its unit edges.
+/// the key buffer, static frame included, so it allocates only what it
+/// publishes.
 #[derive(Debug)]
 pub struct Dispatcher<S> {
     /// Run-time statistics (Table 2/3 instrumentation). In a
@@ -373,10 +373,6 @@ impl<S> Dispatcher<S> {
         };
         let (costs, scratch) = (self.costs, &mut self.spec);
         let spec = self.store.with_spec(point, |staged, site, host| {
-            let mut store = site.base_store.clone();
-            for (v, &p) in site.key_vars.iter().zip(&site.key_pos) {
-                store.insert(*v, args[p]);
-            }
             let mut env = SpecEnv {
                 staged,
                 costs,
@@ -388,11 +384,9 @@ impl<S> Dispatcher<S> {
             // the flat GE program; everything else falls back to the
             // online specializer. Both emit byte-identical code.
             match site.division {
-                Some(d) => GeExecutor::run(&mut env, scratch, host, site, store, d, module, vm),
-                None => {
-                    Specializer::run(&mut env, &mut scratch.emit, host, site, store, module, vm)
-                        .map(|f| (f, None))
-                }
+                Some(d) => GeExecutor::run(&mut env, scratch, host, site, args, d, module, vm),
+                None => Specializer::run(&mut env, &mut scratch.emit, host, site, args, module, vm)
+                    .map(|f| (f, None)),
             }
         });
         // The scratch is kept for the next miss, errors included, unless

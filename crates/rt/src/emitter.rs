@@ -14,7 +14,10 @@
 //!
 //! Every table the emitter builds lives in an [`EmitScratch`] that the
 //! dispatch core owns and lends to each specialization, so a miss reuses
-//! the capacity earlier misses grew instead of allocating its own.
+//! the capacity earlier misses grew instead of allocating its own. That
+//! includes the static store: one dense [`Frame`] per specialization,
+//! loaded from each unit's interned key when the unit starts, so a unit's
+//! key *is* its store and no executor builds or moves a store of its own.
 //!
 //! Cycle metering is split into [`Emitter::exec_cycles`] (generating-
 //! extension work: static computations, checks, bookkeeping) and
@@ -23,7 +26,7 @@
 
 use crate::costs::DynCosts;
 use crate::ge_exec::heap_bytes;
-use crate::runtime::Store;
+use crate::runtime::Site;
 use crate::sink::{CodeSink, VmSink, FNV_OFFSET, FNV_PRIME};
 use crate::stats::RtStats;
 use dyc_bta::OptConfig;
@@ -204,12 +207,60 @@ impl UnitKeys {
             key.2 = i as u32;
         }
     }
+
+    /// The key words of unit `id`.
+    fn key(&self, id: u32) -> &[u64] {
+        let (a, b, _) = self.keys[id as usize];
+        &self.words[a as usize..b as usize]
+    }
+}
+
+/// The static store of the unit being emitted, dense by vreg of the
+/// function being specialized: each static variable's value, `None` for
+/// a dynamic one. A unit's static values are exactly its key's, so the
+/// frame is loaded from the key when the unit starts, and an edge interns
+/// its successor's key straight from the frame.
+#[derive(Debug, Default)]
+pub(crate) struct Frame(Vec<Option<Value>>);
+
+impl Frame {
+    /// Is `v` static?
+    pub(crate) fn contains(&self, v: VReg) -> bool {
+        self.get(v).is_some()
+    }
+
+    /// The value of `v`, when static.
+    pub(crate) fn get(&self, v: VReg) -> Option<Value> {
+        self.0.get(v.0 as usize).copied().flatten()
+    }
+
+    /// The value of `v`, which the caller knows to be static.
+    pub(crate) fn value(&self, v: VReg) -> Value {
+        self.get(v).expect("the variable is static here")
+    }
+
+    /// The static variables with their values, in vreg order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VReg, Value)> + '_ {
+        (self.0.iter().enumerate()).filter_map(|(i, val)| val.map(|val| (VReg(i as u32), val)))
+    }
+
+    /// Number of static variables.
+    pub(crate) fn len(&self) -> usize {
+        self.0.iter().filter(|val| val.is_some()).count()
+    }
+
+    /// Make `v` static with value `val`, whose variant must be the one
+    /// `v`'s type gives it (the key decoding relies on that).
+    fn set(&mut self, v: VReg, val: Value, is_float: bool) {
+        debug_assert_eq!(val.is_int(), !is_float, "{v:?} = {val:?}: wrong variant");
+        self.0[v.0 as usize] = Some(val);
+    }
 }
 
 /// Every table the emitter builds while specializing: the unit interner,
 /// labels, fixups and register map of the whole specialization, and the
-/// rename table, constant registers, emit buffer, dead-assignment keep
-/// flags and live set of the unit being emitted.
+/// static frame, rename table, constant registers, emit buffer,
+/// dead-assignment keep flags and live set of the unit being emitted.
 ///
 /// The dispatch core owns one (inside its `SpecScratch`) and lends it to
 /// each miss. [`Emitter::new`] clears the specialization's tables and
@@ -224,6 +275,8 @@ pub(crate) struct EmitScratch {
     /// Code offset per unit id; `u32::MAX` until the unit is sealed.
     labels: Vec<u32>,
     fixups: Vec<(usize, u32)>,
+    /// The unit's static store.
+    frame: Frame,
     /// Dense vreg → machine-register table (`NO_REG` = unassigned).
     reg_map: Vec<Reg>,
     /// Dense vreg → alias of dynamic zero/copy propagation.
@@ -254,6 +307,7 @@ impl EmitScratch {
             + heap_bytes(&self.units.slots)
             + heap_bytes(&self.labels)
             + heap_bytes(&self.fixups)
+            + heap_bytes(&self.frame.0)
             + heap_bytes(&self.reg_map)
             + heap_bytes(&self.rename)
             + heap_bytes(&self.renamed)
@@ -319,7 +373,8 @@ impl Emitter<'_, crate::sink::InstallSink> {
 impl<'s, S: CodeSink> Emitter<'s, S> {
     /// An emitter for one specialization of a function whose vregs have
     /// the float flags `float_vreg`, emitting into `sink` and keeping its
-    /// tables in `t`, which it clears first.
+    /// tables in `t`, which it clears first (the frame to one dynamic
+    /// entry per vreg).
     pub(crate) fn new(
         cfg: OptConfig,
         float_vreg: &'s [bool],
@@ -329,6 +384,8 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         t.units.clear();
         t.labels.clear();
         t.fixups.clear();
+        t.frame.0.clear();
+        t.frame.0.resize(float_vreg.len(), None);
         t.reg_map.clear();
         t.reg_map.resize(float_vreg.len(), NO_REG);
         t.rename.clear();
@@ -347,16 +404,88 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         em
     }
 
-    /// Begin a unit: empty the rename table, the constant registers, the
-    /// emit buffer and the live set.
+    /// Begin a unit: empty the frame, the rename table, the constant
+    /// registers, the emit buffer and the live set.
     pub(crate) fn start_unit(&mut self) {
         let t = &mut *self.t;
+        t.frame.0.fill(None);
         for v in t.renamed.drain(..) {
             t.rename[v.0 as usize] = None;
         }
         t.consts.clear();
         t.buf.clear();
         t.live.clear();
+    }
+
+    /// Begin unit `id` of the staged executor, in a division over `vars`:
+    /// its key is the division followed by the key bits of `vars`' values
+    /// in order (see [`Self::intern_staged`]), from which the frame is
+    /// loaded.
+    pub(crate) fn start_staged_unit(&mut self, id: u32, vars: &[VReg]) {
+        self.start_unit();
+        let t = &mut *self.t;
+        let key = &t.units.key(id)[1..];
+        debug_assert_eq!(
+            key.len(),
+            vars.len(),
+            "unit {id}: key and division disagree"
+        );
+        for (&v, &bits) in vars.iter().zip(key) {
+            let is_float = self.float_vreg[v.0 as usize];
+            t.frame
+                .set(v, Value::from_key_bits(bits, is_float), is_float);
+        }
+    }
+
+    /// Begin unit `id` of the online specializer: its key is `[block,
+    /// start, (vreg, key bits)...]` (see [`Self::intern_online`]), from
+    /// which the frame is loaded.
+    pub(crate) fn start_online_unit(&mut self, id: u32) {
+        self.start_unit();
+        let t = &mut *self.t;
+        for pair in t.units.key(id)[2..].chunks_exact(2) {
+            let v = VReg(pair[0] as u32);
+            let is_float = self.float_vreg[v.0 as usize];
+            t.frame
+                .set(v, Value::from_key_bits(pair[1], is_float), is_float);
+        }
+    }
+
+    /// Enter `site` with the dispatch arguments `args`: load its base
+    /// store and promoted arguments into the frame — the entry unit's
+    /// store — and give the other arguments, which stay dynamic, the
+    /// first registers in argument order. Returns how many those are.
+    pub(crate) fn enter(&mut self, site: &Site, args: &[Value]) -> u32 {
+        for &(v, val) in &site.base_store {
+            self.set_static(v, val);
+        }
+        for (v, &p) in site.key_vars.iter().zip(&site.key_pos) {
+            self.set_static(*v, args[p]);
+        }
+        let mut n_dyn = 0;
+        for &v in &site.arg_vars {
+            if !self.t.frame.contains(v) {
+                self.set_reg(v, n_dyn);
+                n_dyn += 1;
+            }
+        }
+        self.next_reg = n_dyn;
+        n_dyn
+    }
+
+    /// The unit's static store.
+    pub(crate) fn frame(&self) -> &Frame {
+        &self.t.frame
+    }
+
+    /// Make `v` static with value `val`.
+    pub(crate) fn set_static(&mut self, v: VReg, val: Value) {
+        self.t.frame.set(v, val, self.float_vreg[v.0 as usize]);
+    }
+
+    /// Make `v` dynamic, returning its static value if it had one.
+    pub(crate) fn take_static(&mut self, v: VReg) -> Option<Value> {
+        self.t.frame.0[v.0 as usize].take()
     }
 
     pub(crate) fn total_cycles(&self) -> u64 {
@@ -372,12 +501,44 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
     /// Intern the unit whose key `push_key` appends as words, returning
     /// its dense id (allocating one, and keeping the key, only on first
     /// sight).
-    pub(crate) fn intern_with(&mut self, push_key: impl FnOnce(&mut Vec<u64>)) -> u32 {
-        let (id, new) = self.t.units.intern(push_key);
+    pub(crate) fn intern_with(&mut self, push_key: impl FnOnce(&mut Vec<u64>, &Frame)) -> u32 {
+        let t = &mut *self.t;
+        let frame = &t.frame;
+        let (id, new) = t.units.intern(|w| push_key(w, frame));
         if new {
-            self.t.labels.push(u32::MAX);
+            t.labels.push(u32::MAX);
         }
         id
+    }
+
+    /// Intern the staged executor's unit `(division, values)`: its key is
+    /// the division followed by the key bits of the static values of
+    /// `vars` (the division's variables, sorted), straight from the frame.
+    pub(crate) fn intern_staged(&mut self, division: u32, vars: &[VReg]) -> u32 {
+        self.intern_with(|w, frame| {
+            w.push(u64::from(division));
+            w.extend(vars.iter().map(|v| frame.value(*v).key_bits()));
+        })
+    }
+
+    /// Intern the online specializer's unit `(block, start, store)`: its
+    /// key is `[block, start]` followed by `(vreg, key bits)` for every
+    /// static variable `keep(frame, v)` admits, in vreg order, straight
+    /// from the frame.
+    pub(crate) fn intern_online(
+        &mut self,
+        block: u32,
+        start: u32,
+        keep: impl Fn(&Frame, VReg) -> bool,
+    ) -> u32 {
+        self.intern_with(|w, frame| {
+            w.push(u64::from(block));
+            w.push(u64::from(start));
+            for (v, val) in frame.iter().filter(|(v, _)| keep(frame, *v)) {
+                w.push(u64::from(v.0));
+                w.push(val.key_bits());
+            }
+        })
     }
 
     /// Has this unit id been sealed (its code emitted and labeled)?
@@ -478,12 +639,10 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         t.renamed.dedup();
     }
 
-    pub(crate) fn resolve(&mut self, v: VReg, store: &Store) -> Opnd {
-        if let Some(val) = store.get(&v) {
-            return match val {
-                Value::I(i) => Opnd::KI(*i),
-                Value::F(f) => Opnd::KF(*f),
-            };
+    /// `v` as an operand: its static value, its alias, or its register.
+    pub(crate) fn resolve(&mut self, v: VReg) -> Opnd {
+        if let Some(val) = self.t.frame.get(v) {
+            return value_opnd(val);
         }
         if let Some(a) = self.alias(v) {
             return a;
@@ -560,48 +719,45 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         self.t.renamed = renamed;
     }
 
-    /// Execute a static computation at specialization time.
+    /// Execute a static computation at specialization time, against the
+    /// frame.
     pub(crate) fn exec_static(
         &mut self,
         inst: &Inst,
-        store: &mut Store,
         costs: &DynCosts,
         stats: &mut RtStats,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<(), VmError> {
-        let val = |s: &Store, v: VReg| -> Value { s[&v] };
+        let frame = &self.t.frame;
+        let val = |v: VReg| frame.value(v);
         let result: Value = match inst {
             Inst::ConstI { v, .. } => Value::I(*v),
             Inst::ConstF { v, .. } => Value::F(*v),
-            Inst::Copy { src, .. } => val(store, *src),
-            Inst::Un { op, src, .. } => eval_un(*op, val(store, *src)),
-            Inst::IBin { op, a, b, .. } => Value::I(eval_ialu(
-                *op,
-                val(store, *a).as_i(),
-                val(store, *b).as_i(),
-            )?),
-            Inst::FBin { op, a, b, .. } => {
-                Value::F(eval_falu(*op, val(store, *a).as_f(), val(store, *b).as_f()))
+            Inst::Copy { src, .. } => val(*src),
+            Inst::Un { op, src, .. } => eval_un(*op, val(*src)),
+            Inst::IBin { op, a, b, .. } => {
+                Value::I(eval_ialu(*op, val(*a).as_i(), val(*b).as_i())?)
             }
+            Inst::FBin { op, a, b, .. } => Value::F(eval_falu(*op, val(*a).as_f(), val(*b).as_f())),
             Inst::ICmp { cc, a, b, .. } => {
-                Value::I(eval_icmp(*cc, val(store, *a).as_i(), val(store, *b).as_i()) as i64)
+                Value::I(eval_icmp(*cc, val(*a).as_i(), val(*b).as_i()) as i64)
             }
             Inst::FCmp { cc, a, b, .. } => {
-                Value::I(eval_fcmp(*cc, val(store, *a).as_f(), val(store, *b).as_f()) as i64)
+                Value::I(eval_fcmp(*cc, val(*a).as_f(), val(*b).as_f()) as i64)
             }
             Inst::Load { ty, base, idx, .. } => {
                 // A *static load* (§2.2.6): read live VM memory now.
                 stats.static_loads += 1;
                 self.exec_cycles += costs.static_load;
-                let addr = val(store, *base).as_i() + val(store, *idx).as_i();
+                let addr = val(*base).as_i() + val(*idx).as_i();
                 vm.mem.read(addr, ty.vm_ty())
             }
             Inst::Call { callee, args, .. } => {
                 // A *static call* (§2.2.6): run it now and memoize the
                 // result into the emitted code.
                 stats.static_calls += 1;
-                let arg_vals: Vec<Value> = args.iter().map(|a| val(store, *a)).collect();
+                let arg_vals: Vec<Value> = args.iter().map(|a| val(*a)).collect();
                 match callee {
                     Callee::Host(h) => {
                         let mut sink = Vec::new();
@@ -629,7 +785,7 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         self.exec_cycles += costs.static_op;
         let dst = inst.def().expect("static computations define a value");
         self.kill_alias(dst);
-        store.insert(dst, result);
+        self.set_static(dst, result);
         Ok(())
     }
 
@@ -638,13 +794,13 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
     /// bookkeeping so value chains consumed by this very instruction do
     /// not get materialized. `read_later` answers "is this variable read
     /// at or after this program point" — a liveness lookup online, a
-    /// precomputed table lookup in the staged path.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// precomputed table lookup in the staged path. The destination
+    /// leaves the frame.
+    #[allow(clippy::too_many_lines)]
     pub(crate) fn emit_dynamic(
         &mut self,
         inst: &Inst,
         read_later: &dyn Fn(VReg) -> bool,
-        store: &mut Store,
         costs: &DynCosts,
         stats: &mut RtStats,
     ) {
@@ -656,13 +812,13 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         call_args.clear();
         if let Inst::Call { args, .. } = inst {
             for a in args {
-                let o = self.resolve(*a, store);
+                let o = self.resolve(*a);
                 call_args.push(o);
             }
         } else {
             let mut n = 0;
             inst.each_use(|u| {
-                ops[n] = self.resolve(u, store);
+                ops[n] = self.resolve(u);
                 n += 1;
             });
         }
@@ -695,7 +851,7 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
                 self.t.renamed = renamed;
             }
             self.kill_alias(d);
-            store.remove(&d);
+            self.take_static(d);
         }
 
         match inst {
@@ -1377,7 +1533,7 @@ mod tests {
 
     /// Intern the one-word unit key `k`.
     fn unit<S: CodeSink>(em: &mut Emitter<'_, S>, k: u64) -> u32 {
-        em.intern_with(|w| w.push(k))
+        em.intern_with(|w, _| w.push(k))
     }
 
     /// Emit unit `id` as `buf` with `live` live at its end, and seal it.
@@ -1470,7 +1626,7 @@ mod tests {
         let mut em = emitter(OptConfig::all(), &[], &mut t);
         let ids: Vec<u32> = keys
             .iter()
-            .map(|k| em.intern_with(|w| w.extend_from_slice(k)))
+            .map(|k| em.intern_with(|w, _| w.extend_from_slice(k)))
             .collect();
         let mut distinct = keys.clone();
         distinct.sort();
@@ -1481,14 +1637,14 @@ mod tests {
             "one id per distinct key"
         );
         for (k, id) in keys.iter().zip(&ids) {
-            assert_eq!(em.intern_with(|w| w.extend_from_slice(k)), *id);
+            assert_eq!(em.intern_with(|w, _| w.extend_from_slice(k)), *id);
         }
         drop(em);
 
         // A new specialization over the same scratch starts from id 0.
         let mut em = emitter(OptConfig::all(), &[], &mut t);
-        assert_eq!(em.intern_with(|w| w.extend_from_slice(&keys[7])), 0);
-        assert_eq!(em.intern_with(|w| w.extend_from_slice(&keys[3])), 1);
+        assert_eq!(em.intern_with(|w, _| w.extend_from_slice(&keys[7])), 0);
+        assert_eq!(em.intern_with(|w, _| w.extend_from_slice(&keys[3])), 1);
         assert!(!em.sealed(0) && !em.sealed(1));
     }
 
@@ -1506,16 +1662,16 @@ mod tests {
             em.next_reg = 1;
             em.set_alias(VReg(1), Opnd::R(0));
             em.set_alias(VReg(2), Opnd::KI(5));
+            em.set_static(VReg(1), Value::I(6));
             em.opnd_reg(Opnd::KI(9));
             em.mark_live(7);
             em.push_branch(Instr::Jmp { target: 0 }, u);
         }
         // The next function has fewer vregs than the aborted one aliased.
         let mut em = emitter(OptConfig::all(), &floats[..2], &mut t);
-        let store = Store::new();
-        assert_eq!(em.resolve(VReg(1), &store), Opnd::R(0), "no stale alias");
-        assert_eq!(em.resolve(VReg(2), &store), Opnd::R(1));
-        assert_eq!(em.resolve(VReg(0), &store), Opnd::R(2), "no stale register");
+        assert_eq!(em.resolve(VReg(1)), Opnd::R(0), "no stale alias or static");
+        assert_eq!(em.resolve(VReg(2)), Opnd::R(1));
+        assert_eq!(em.resolve(VReg(0)), Opnd::R(2), "no stale register");
         assert_eq!(em.opnd_reg(Opnd::KI(9)), 3, "constants materialize again");
         let u = unit(&mut em, 1);
         assert_eq!(u, 0, "the interner starts over");
@@ -1531,6 +1687,44 @@ mod tests {
         let before = em.emit_cycles;
         em.patch_fixups(&costs);
         assert_eq!(em.emit_cycles, before, "no fixup survives the abort");
+    }
+
+    #[test]
+    fn units_load_their_frame_from_their_key() {
+        let floats = [false, true, false];
+        let mut t = EmitScratch::default();
+        let mut em = emitter(OptConfig::all(), &floats, &mut t);
+        em.set_static(VReg(0), Value::I(-3));
+        em.set_static(VReg(1), Value::F(-0.0));
+        em.set_static(VReg(2), Value::I(9));
+        let vars = [VReg(0), VReg(1)];
+        let staged = em.intern_staged(4, &vars);
+        let online = em.intern_online(1, 2, |_, v| v != VReg(1));
+        assert_eq!(em.intern_staged(4, &vars), staged);
+        let bits = |em: &Emitter<'_>| -> Vec<(VReg, bool, u64)> {
+            let frame = em.frame().iter();
+            frame
+                .map(|(v, val)| (v, val.is_int(), val.to_bits()))
+                .collect()
+        };
+        em.start_staged_unit(staged, &vars);
+        assert_eq!(
+            bits(&em),
+            [
+                (VReg(0), true, (-3i64) as u64),
+                (VReg(1), false, (-0.0f64).to_bits())
+            ],
+            "only the division's variables, in their variants"
+        );
+        em.start_online_unit(online);
+        assert_eq!(
+            bits(&em),
+            [(VReg(0), true, (-3i64) as u64), (VReg(2), true, 9)]
+        );
+        assert_eq!(em.take_static(VReg(2)), Some(Value::I(9)));
+        assert!(!em.frame().contains(VReg(2)) && em.frame().len() == 1);
+        em.start_unit();
+        assert_eq!(em.frame().len(), 0, "a new unit starts with no statics");
     }
 
     #[test]
@@ -1710,9 +1904,8 @@ mod tests {
         em.set_alias(VReg(1), Opnd::R(r0));
         let costs = DynCosts::calibrated();
         let mut stats = RtStats::default();
-        let mut store = Store::new();
         let redefine = Inst::ConstI { dst: VReg(0), v: 8 };
-        em.emit_dynamic(&redefine, &|_| true, &mut store, &costs, &mut stats);
+        em.emit_dynamic(&redefine, &|_| true, &costs, &mut stats);
         let ins: Vec<Instr> = em.t.buf.iter().map(|e| e.ins.clone()).collect();
         assert_eq!(
             ins,

@@ -18,7 +18,10 @@
 //!    [`RtStats::runtime_bta_calls`] counter proves it). The legacy
 //!    online [`specializer`] is kept as the reference path
 //!    (`OptConfig::staged_ge = false`); both drive the shared `emitter`
-//!    and emit byte-identical code.
+//!    and emit byte-identical code. Neither builds a static store: the
+//!    emitter keeps one dense frame per specialization, loaded from each
+//!    unit's interned key when the unit starts, so a miss allocates only
+//!    what it publishes.
 //! 3. The new code is installed in the running [`dyc_vm::Module`], the
 //!    I-cache is flushed, and every cycle of the work is charged to the
 //!    dynamic-compilation counters that feed Table 3.
@@ -59,6 +62,6 @@ pub use dispatch::Dispatcher;
 pub use ge_exec::GeExecutor;
 pub use native::{lower_func, NativeArtifact, NativeDispatch, NativeEngine};
 pub use policy::{PolicyDecision, PolicyEngine, PolicyParams};
-pub use runtime::{LocalStore, Runtime, Site, Store};
+pub use runtime::{LocalStore, Runtime, Site};
 pub use sink::{fnv1a, CodeSink, InstallSink, NativeSink, RecordingSink, VmSink};
 pub use stats::RtStats;

@@ -20,11 +20,7 @@ use dyc_ir::{BlockId, VReg};
 use dyc_obs::EventKind;
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, Value, VmError};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// The static store: concrete values of the static variables.
-pub type Store = BTreeMap<VReg, Value>;
 
 /// A dispatch site: a dynamic-region entry or an internal
 /// dynamic-to-static promotion point.
@@ -36,8 +32,10 @@ pub struct Site {
     pub block: BlockId,
     /// Instruction index of the resume point (the annotation).
     pub inst_idx: usize,
-    /// Static context baked in at emit time (empty for entry sites).
-    pub base_store: Store,
+    /// Static context baked in at emit time, sorted by vreg (empty for
+    /// entry sites). With the promoted `key_vars`, it is the static store
+    /// specialization resumes with.
+    pub base_store: Vec<(VReg, Value)>,
     /// Variables promoted at this site (their values form the cache key).
     pub key_vars: Vec<VReg>,
     /// Dispatch argument layout (all live variables at the point for entry
@@ -71,7 +69,7 @@ impl Site {
             func: e.func,
             block: e.block,
             inst_idx: e.inst_idx,
-            base_store: Store::new(),
+            base_store: Vec::new(),
             key_vars: e.key_vars.iter().map(|(v, _)| *v).collect(),
             arg_vars: e.arg_vars.clone(),
             policy: e.policy,
@@ -85,14 +83,20 @@ impl Site {
     /// resuming here, taking every dispatch argument, with the site's
     /// baked static context materialized as constants.
     pub(crate) fn generic_code(&self, staged: &StagedProgram) -> CodeFunc {
-        let consts: Vec<_> = self.base_store.iter().map(|(v, val)| (*v, *val)).collect();
         dyc_ir::codegen::codegen_region_generic(
             &staged.ir.funcs[self.func],
             self.block,
             self.inst_idx,
             &self.arg_vars,
-            &consts,
+            &self.base_store,
         )
+    }
+
+    /// Is `v` in the base store?
+    pub(crate) fn in_base_store(&self, v: VReg) -> bool {
+        self.base_store
+            .binary_search_by_key(&v, |(w, _)| *w)
+            .is_ok()
     }
 
     pub(crate) fn precompute_layout(&mut self) {
@@ -110,7 +114,7 @@ impl Site {
             .arg_vars
             .iter()
             .enumerate()
-            .filter(|(_, v)| !self.base_store.contains_key(v) && !self.key_vars.contains(v))
+            .filter(|(_, v)| !self.in_base_store(**v) && !self.key_vars.contains(v))
             .map(|(i, _)| i)
             .collect();
     }

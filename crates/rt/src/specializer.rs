@@ -27,11 +27,13 @@
 //! (`classify`, `edge_plan_per_var`) so Table 3 can show what true
 //! staging saves. All value-dependent emit work is shared with the
 //! staged path via `Emitter`, which is what keeps the
-//! two paths' output byte-identical.
+//! two paths' output byte-identical. So is the static store: the
+//! emitter's dense frame, loaded from each unit's interned key when the
+//! unit starts; the worklist and tail chain carry unit ids only.
 
-use crate::emitter::{mov_const, opnd_value, EmitScratch, Emitter, Opnd};
+use crate::emitter::{mov_const, opnd_value, EmitScratch, Emitter, Frame, Opnd};
 use crate::ge_exec::{SpecEnv, SpecHost, SPEC_BUDGET};
-use crate::runtime::{Site, Store};
+use crate::runtime::Site;
 use crate::sink::VmSink;
 use dyc_bta::{inst_binding, Binding, OptConfig};
 use dyc_ir::analysis::{natural_loops, Liveness, NaturalLoop};
@@ -40,17 +42,13 @@ use dyc_ir::{BlockId, FuncIr, IrTy, VReg};
 use dyc_lang::Policy;
 use dyc_obs::EventKind;
 use dyc_stage::live_at_point;
-use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Vm, VmError};
+use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// The online generating-extension executor. See module docs.
 pub(crate) struct Specializer<'s> {
     f: FuncIr,
-    live: Liveness,
-    static_in: Vec<BTreeSet<VReg>>,
-    loop_assigned: HashMap<BlockId, BTreeSet<VReg>>,
-    unroll_exit_deps: HashMap<BlockId, Vec<BTreeSet<VReg>>>,
-    unroll_keep: HashMap<BlockId, BTreeSet<VReg>>,
+    rules: EdgeRules,
     policies: HashMap<VReg, Policy>,
     loops: Vec<NaturalLoop>,
     loop_headers: HashSet<BlockId>,
@@ -58,7 +56,7 @@ pub(crate) struct Specializer<'s> {
     fidx: usize,
 
     em: Emitter<'s>,
-    worklist: Vec<(u32, Store)>,
+    worklist: Vec<u32>,
     /// Program point `(block, start)` of each interned unit id.
     unit_point: Vec<(u32, u32)>,
     // Instrumentation.
@@ -74,9 +72,9 @@ pub(crate) struct Specializer<'s> {
 }
 
 impl Specializer<'_> {
-    /// Specialize `site` for the given store and install nothing — the
-    /// caller installs the returned function. Same contract as
-    /// [`crate::ge_exec::GeExecutor::run`]: new promotion sites go to
+    /// Specialize `site` for the dispatch arguments `args` and install
+    /// nothing — the caller installs the returned function. Same contract
+    /// as [`crate::ge_exec::GeExecutor::run`]: new promotion sites go to
     /// `host`, everything read or metered comes from `env`, and the
     /// emitter's tables live in `scratch`.
     pub(crate) fn run(
@@ -84,7 +82,7 @@ impl Specializer<'_> {
         scratch: &mut EmitScratch,
         host: &mut dyn SpecHost,
         site: &Site,
-        store: Store,
+        args: &[Value],
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<FuncId, VmError> {
@@ -99,11 +97,14 @@ impl Specializer<'_> {
             .map(|i| f.ty(VReg(i as u32)) == IrTy::Float)
             .collect();
         let mut spec = Specializer {
-            live: sf.live.clone(),
-            static_in: sf.bta.static_in.clone(),
-            loop_assigned: sf.bta.loop_assigned.clone(),
-            unroll_exit_deps: sf.bta.unroll_exit_deps.clone(),
-            unroll_keep: sf.bta.unroll_keep_opt.clone(),
+            rules: EdgeRules {
+                live: sf.live.clone(),
+                static_in: sf.bta.static_in.clone(),
+                loop_assigned: sf.bta.loop_assigned.clone(),
+                unroll_exit_deps: sf.bta.unroll_exit_deps.clone(),
+                unroll_keep: sf.bta.unroll_keep_opt.clone(),
+                polyvariant_division: env.staged.cfg.polyvariant_division,
+            },
             policies: sf.bta.policies.clone(),
             loop_headers: loops.iter().map(|l| l.header).collect(),
             loops,
@@ -119,25 +120,17 @@ impl Specializer<'_> {
             f,
         };
 
-        // Dynamic pass-through parameters, in arg order.
-        let dyn_params: Vec<VReg> = site
-            .arg_vars
-            .iter()
-            .filter(|v| !store.contains_key(v))
-            .copied()
-            .collect();
-        for (i, v) in dyn_params.iter().enumerate() {
-            spec.em.set_reg(*v, i as u32);
-        }
-        spec.em.next_reg = dyn_params.len() as u32;
-
-        let entry = spec.unit_id(site.block, site.inst_idx, &store);
-        spec.worklist.push((entry, store));
-        while let Some((id, st)) = spec.worklist.pop() {
+        let n_dyn = spec.em.enter(site, args);
+        let entry = spec
+            .em
+            .intern_online(site.block.0, site.inst_idx as u32, |_, _| true);
+        spec.at_point(entry, site.block, site.inst_idx);
+        spec.worklist.push(entry);
+        while let Some(id) = spec.worklist.pop() {
             if spec.em.sealed(id) {
                 continue;
             }
-            spec.emit_chain(id, st, env, host, module, vm)?;
+            spec.emit_chain(id, env, host, module, vm)?;
         }
 
         // Patch branch targets.
@@ -164,27 +157,17 @@ impl Specializer<'_> {
         env.charge(vm, cycles);
 
         let name = format!("{}$spec{}", spec.f.name, module.len());
-        let mut cf =
-            dyc_vm::CodeFunc::new(name, dyn_params.len(), spec.em.next_reg.max(1) as usize);
+        let mut cf = dyc_vm::CodeFunc::new(name, n_dyn as usize, spec.em.next_reg.max(1) as usize);
         cf.code = spec.em.take_code();
         Ok(module.add_func(cf))
     }
 
-    /// Intern the unit `(block, start, store)`, recording its program
-    /// point on first sight.
-    fn unit_id(&mut self, block: BlockId, start: usize, store: &Store) -> u32 {
-        let id = self.em.intern_with(|w| {
-            w.push(u64::from(block.0));
-            w.push(start as u64);
-            for (v, val) in store {
-                w.push(u64::from(v.0));
-                w.push(val.key_bits());
-            }
-        });
+    /// Record the program point of unit `id`, just interned, on first
+    /// sight.
+    fn at_point(&mut self, id: u32, block: BlockId, start: usize) {
         if id as usize == self.unit_point.len() {
             self.unit_point.push((block.0, start as u32));
         }
-        id
     }
 
     fn block_of(&self, id: u32) -> BlockId {
@@ -196,14 +179,13 @@ impl Specializer<'_> {
     fn emit_chain(
         &mut self,
         id: u32,
-        store: Store,
         env: &mut SpecEnv<'_>,
         host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<(), VmError> {
-        let mut cur = Some((id, store));
-        while let Some((id, store)) = cur.take() {
+        let mut cur = Some(id);
+        while let Some(id) = cur.take() {
             if self.em.sealed(id) {
                 break;
             }
@@ -213,33 +195,32 @@ impl Specializer<'_> {
                         .into(),
                 ));
             }
-            let block = self.block_of(id);
-            if self.loop_headers.contains(&block) && !store.is_empty() {
-                self.header_units.entry(block).or_default().insert(id);
-            }
-            // Polyvariant division: the same point analyzed/compiled under
-            // different static-variable *sets* (§2.2.5).
-            let var_set: Vec<u32> = store.keys().map(|v| v.0).collect();
-            self.division_sets.entry(block).or_default().insert(var_set);
-            cur = self.emit_unit(id, store, env, host, module, vm)?;
+            cur = self.emit_unit(id, env, host, module, vm)?;
         }
         Ok(())
     }
 
+    /// Emit unit `id`, returning the unit to tail-continue with.
     #[allow(clippy::too_many_lines)]
     fn emit_unit(
         &mut self,
         id: u32,
-        mut store: Store,
         env: &mut SpecEnv<'_>,
         host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
-    ) -> Result<Option<(u32, Store)>, VmError> {
+    ) -> Result<Option<u32>, VmError> {
         let (block, start) = self.unit_point[id as usize];
         let (block, start) = (BlockId(block), start as usize);
         self.cur_unit = Some(id);
-        self.em.start_unit();
+        self.em.start_online_unit(id);
+        if self.loop_headers.contains(&block) && self.em.frame().len() > 0 {
+            self.header_units.entry(block).or_default().insert(id);
+        }
+        // Polyvariant division: the same point analyzed/compiled under
+        // different static-variable *sets* (§2.2.5).
+        let var_set: Vec<u32> = self.em.frame().iter().map(|(v, _)| v.0).collect();
+        self.division_sets.entry(block).or_default().insert(var_set);
         let costs = env.costs;
         self.em.exec_cycles += costs.per_unit;
         env.sinks.stats.units_emitted += 1;
@@ -263,7 +244,7 @@ impl Specializer<'_> {
                     let missing: Vec<VReg> = vars
                         .iter()
                         .map(|(v, _)| *v)
-                        .filter(|v| !store.contains_key(v))
+                        .filter(|v| !self.em.frame().contains(*v))
                         .collect();
                     if !missing.is_empty() && self.cfg.internal_promotions {
                         promotion = Some((i, missing));
@@ -272,14 +253,14 @@ impl Specializer<'_> {
                     // Already static (or promotions disabled): no-op.
                 }
                 Inst::Promote { var } => {
-                    if !store.contains_key(var) && self.cfg.internal_promotions {
+                    if !self.em.frame().contains(*var) && self.cfg.internal_promotions {
                         promotion = Some((i, vec![*var]));
                         break;
                     }
                 }
                 Inst::MakeDynamic { vars } => {
                     for v in vars {
-                        if let Some(val) = store.remove(v) {
+                        if let Some(val) = self.em.take_static(*v) {
                             // The value crosses into run time: materialize.
                             let r = self.em.reg_of(*v);
                             self.em.push(mov_const(r, val), true);
@@ -291,23 +272,17 @@ impl Specializer<'_> {
                     // analysis cost the staged path precompiles away.
                     env.sinks.stats.runtime_bta_calls += 1;
                     self.em.exec_cycles += costs.classify;
-                    let is_static = |v: VReg| store.contains_key(&v);
+                    let frame = self.em.frame();
+                    let is_static = |v: VReg| frame.contains(v);
                     match inst_binding(&inst, &is_static, &self.cfg) {
                         Binding::Static => {
-                            self.em.exec_static(
-                                &inst,
-                                &mut store,
-                                &costs,
-                                env.sinks.stats,
-                                module,
-                                vm,
-                            )?;
+                            self.em
+                                .exec_static(&inst, &costs, env.sinks.stats, module, vm)?;
                         }
                         Binding::Dynamic => {
-                            let (f, live) = (&self.f, &self.live);
+                            let (f, live) = (&self.f, &self.rules.live);
                             let rl = |v: VReg| read_later(f, live, block, i, v);
-                            self.em
-                                .emit_dynamic(&inst, &rl, &mut store, &costs, env.sinks.stats);
+                            self.em.emit_dynamic(&inst, &rl, &costs, env.sinks.stats);
                         }
                         Binding::Annotation => unreachable!("annotations handled above"),
                     }
@@ -316,24 +291,24 @@ impl Specializer<'_> {
             i += 1;
         }
 
-        let mut chain: Option<(u32, Store)> = None;
+        let mut chain: Option<u32> = None;
 
         if let Some((idx, missing)) = promotion {
             // Internal dynamic-to-static promotion: end the unit with a
             // dispatch that resumes specialization once the values are
             // known (§2.2.2). Another run-time liveness query.
             env.sinks.stats.runtime_bta_calls += 1;
-            let live_here = live_at_point(&self.f, &self.live, block, idx);
+            let live_here = live_at_point(&self.f, &self.rules.live, block, idx);
             let live_set: BTreeSet<VReg> = live_here.iter().copied().collect();
             self.em.flush_renames(|v| live_set.contains(&v), false);
-            let base_store: Store = store
+            let frame = self.em.frame();
+            let base_store: Vec<(VReg, Value)> = frame
                 .iter()
                 .filter(|(v, _)| live_here.contains(v))
-                .map(|(v, val)| (*v, *val))
                 .collect();
             let arg_vars: Vec<VReg> = live_here
                 .iter()
-                .filter(|v| !store.contains_key(v))
+                .filter(|v| !frame.contains(**v))
                 .copied()
                 .collect();
             let policy = dyc_stage::site_policy(
@@ -378,7 +353,7 @@ impl Specializer<'_> {
         } else {
             // Terminator.
             let term = self.f.block(block).term.clone();
-            let live_out = self.live.live_out[block.index()].clone();
+            let live_out = self.rules.live.live_out[block.index()].clone();
             let term_uses: BTreeSet<VReg> = term.uses().into_iter().collect();
             self.em
                 .flush_renames(|v| live_out.contains(&v) || term_uses.contains(&v), true);
@@ -387,61 +362,61 @@ impl Specializer<'_> {
             let mut live_out_sorted: Vec<VReg> = live_out.iter().copied().collect();
             live_out_sorted.sort();
             for v in live_out_sorted {
-                if !store.contains_key(&v) {
+                if !self.em.frame().contains(v) {
                     let r = self.em.reg_of(v);
                     self.em.mark_live(r);
                 }
             }
             match term {
                 Term::Jmp(t) => {
-                    chain = self.take_edge(t, &store, env);
+                    chain = self.take_edge(t, env);
                 }
                 Term::Br { cond, t, f: fb } => {
-                    match self.em.resolve(cond, &store) {
+                    match self.em.resolve(cond) {
                         Opnd::KI(v) => {
                             env.sinks.stats.branches_folded += 1;
                             let target = if v != 0 { t } else { fb };
-                            chain = self.take_edge(target, &store, env);
+                            chain = self.take_edge(target, env);
                         }
                         Opnd::KF(v) => {
                             env.sinks.stats.branches_folded += 1;
                             let target = if v != 0.0 { t } else { fb };
-                            chain = self.take_edge(target, &store, env);
+                            chain = self.take_edge(target, env);
                         }
                         Opnd::R(r) => {
                             self.em.mark_live(r);
                             // Demote for both successors before branching.
-                            let (id_t, store_t) = self.edge_unit(t, &store, env);
-                            let (id_f, store_f) = self.edge_unit(fb, &store, env);
+                            let id_t = self.edge_unit(t, env);
+                            let id_f = self.edge_unit(fb, env);
                             // Branch to the true side; fall through to false.
                             self.em
                                 .push_branch(Instr::Brnz { cond: r, target: 0 }, id_t);
                             if !self.em.sealed(id_t) {
-                                self.worklist.push((id_t, store_t));
+                                self.worklist.push(id_t);
                             }
                             if self.em.sealed(id_f) {
                                 self.em.push_branch(Instr::Jmp { target: 0 }, id_f);
                             } else {
-                                chain = Some((id_f, store_f));
+                                chain = Some(id_f);
                             }
                         }
                     }
                 }
-                Term::Switch { on, cases, default } => match self.em.resolve(on, &store) {
+                Term::Switch { on, cases, default } => match self.em.resolve(on) {
                     Opnd::KI(v) => {
                         env.sinks.stats.branches_folded += 1;
                         let target = cases
                             .iter()
                             .find_map(|(k, b)| (*k == v).then_some(*b))
                             .unwrap_or(default);
-                        chain = self.take_edge(target, &store, env);
+                        chain = self.take_edge(target, env);
                     }
                     Opnd::KF(_) => unreachable!("switch scrutinee is int"),
                     Opnd::R(r) => {
                         self.em.mark_live(r);
                         let tmp = self.em.fresh_reg();
                         for (k, target) in &cases {
-                            let (cid, st) = self.edge_unit(*target, &store, env);
+                            let cid = self.edge_unit(*target, env);
                             self.em.push(
                                 Instr::ICmp {
                                     cc: Cc::Eq,
@@ -459,19 +434,19 @@ impl Specializer<'_> {
                                 cid,
                             );
                             if !self.em.sealed(cid) {
-                                self.worklist.push((cid, st));
+                                self.worklist.push(cid);
                             }
                         }
-                        let (id_d, store_d) = self.edge_unit(default, &store, env);
+                        let id_d = self.edge_unit(default, env);
                         if self.em.sealed(id_d) {
                             self.em.push_branch(Instr::Jmp { target: 0 }, id_d);
                         } else {
-                            chain = Some((id_d, store_d));
+                            chain = Some(id_d);
                         }
                     }
                 },
                 Term::Ret(v) => {
-                    let src = v.map(|v| match self.em.resolve(v, &store) {
+                    let src = v.map(|v| match self.em.resolve(v) {
                         Opnd::R(r) => r,
                         k => {
                             let r = self.em.fresh_reg();
@@ -493,74 +468,47 @@ impl Specializer<'_> {
     }
 
     /// Compute the successor unit for `target`, materializing demoted
-    /// statics into registers before the transfer. Every per-variable
-    /// decision here is a run-time liveness/division/unroll query the
-    /// staged path precompiles into an `EdgePlan`.
-    fn edge_unit(&mut self, target: BlockId, store: &Store, env: &mut SpecEnv<'_>) -> (u32, Store) {
-        env.sinks.stats.runtime_bta_calls += store.len() as u64;
-        self.em.exec_cycles += env.costs.edge_plan_per_var * store.len() as u64;
-        let live_in = self.live.live_in[target.index()].clone();
-        let mut out = Store::new();
-        for (v, val) in store {
-            if !live_in.contains(v) {
-                continue; // dead static: drop from the key (§4.4.3)
-            }
-            let mut keep = true;
-            if !self.cfg.polyvariant_division && !self.static_in[target.index()].contains(v) {
-                keep = false;
-            }
-            // Demote loop-varying statics at loop headers unless they are
-            // static induction variables of a loop that unrolls *in this
-            // division*: unrolling must be driven by static control flow
-            // or it never terminates (§2.1's "loops [that] have static
-            // induction variables ... can therefore be completely
-            // unrolled"). A loop unrolls in this division iff some exit
-            // test's header-live dependencies are all in the current
-            // static store — that is what makes conditional
-            // specialization (§2.2.5) work: the guarded division unrolls,
-            // the unguarded one keeps a residual loop.
-            if let Some(assigned) = self.loop_assigned.get(&target) {
-                if assigned.contains(v) {
-                    let unrolls_here = self.unroll_exit_deps.get(&target).is_some_and(|deps| {
-                        deps.iter().any(|d| d.iter().all(|x| store.contains_key(x)))
-                    });
-                    let kept = unrolls_here
-                        && self.unroll_keep.get(&target).is_some_and(|k| k.contains(v));
-                    if !kept {
-                        keep = false;
-                    }
-                }
-            }
-            if keep {
-                out.insert(*v, *val);
-            } else {
+    /// statics into registers before the transfer, and intern it from
+    /// the carried frame values. Every per-variable decision here is a
+    /// run-time liveness/division/unroll query the staged path
+    /// precompiles into an `EdgePlan`.
+    fn edge_unit(&mut self, target: BlockId, env: &mut SpecEnv<'_>) -> u32 {
+        let n = self.em.frame().len() as u64;
+        env.sinks.stats.runtime_bta_calls += n;
+        self.em.exec_cycles += env.costs.edge_plan_per_var * n;
+        // Demotions emit code and carried variables form the key, each in
+        // vreg order, so two passes over the frame keep both orders.
+        for i in 0..self.f.n_vregs() {
+            let v = VReg(i as u32);
+            let frame = self.em.frame();
+            let Some(val) = frame.get(v) else { continue };
+            if self.rules.carries(frame, target, v) == Some(false) {
                 // Demotion: the value crosses into run time here.
-                let r = self.em.reg_of(*v);
-                self.em.push(mov_const(r, *val), true);
+                let r = self.em.reg_of(v);
+                self.em.push(mov_const(r, val), true);
                 self.em.mark_live(r);
             }
         }
-        let id = self.unit_id(target, 0, &out);
+        let rules = &self.rules;
+        let id = self.em.intern_online(target.0, 0, |frame, v| {
+            rules.carries(frame, target, v) == Some(true)
+        });
+        self.at_point(id, target, 0);
         if let Some(from) = self.cur_unit {
             self.unit_edges.push((from, id));
         }
-        (id, out)
+        id
     }
 
     /// Take an unconditional edge: tail-continue if the target is fresh,
     /// emit a jump otherwise.
-    fn take_edge(
-        &mut self,
-        target: BlockId,
-        store: &Store,
-        env: &mut SpecEnv<'_>,
-    ) -> Option<(u32, Store)> {
-        let (id, st) = self.edge_unit(target, store, env);
+    fn take_edge(&mut self, target: BlockId, env: &mut SpecEnv<'_>) -> Option<u32> {
+        let id = self.edge_unit(target, env);
         if self.em.sealed(id) {
             self.em.push_branch(Instr::Jmp { target: 0 }, id);
             None
         } else {
-            Some((id, st))
+            Some(id)
         }
     }
 
@@ -612,6 +560,56 @@ impl Specializer<'_> {
             }
         }
         false
+    }
+}
+
+/// The online edge decisions: the analyses an edge consults, per static
+/// variable, for what the staged path reads from an `EdgePlan`.
+struct EdgeRules {
+    live: Liveness,
+    static_in: Vec<BTreeSet<VReg>>,
+    loop_assigned: HashMap<BlockId, BTreeSet<VReg>>,
+    unroll_exit_deps: HashMap<BlockId, Vec<BTreeSet<VReg>>>,
+    unroll_keep: HashMap<BlockId, BTreeSet<VReg>>,
+    polyvariant_division: bool,
+}
+
+impl EdgeRules {
+    /// What an edge into `target` under static store `frame` does with
+    /// static `v`: `Some(true)` carries it, `Some(false)` demotes it,
+    /// `None` drops it as dead.
+    fn carries(&self, frame: &Frame, target: BlockId, v: VReg) -> Option<bool> {
+        if !self.live.live_in[target.index()].contains(&v) {
+            return None; // dead static: drop from the key (§4.4.3)
+        }
+        let mut keep = self.polyvariant_division || self.static_in[target.index()].contains(&v);
+        // Demote loop-varying statics at loop headers unless they are
+        // static induction variables of a loop that unrolls *in this
+        // division*: unrolling must be driven by static control flow
+        // or it never terminates (§2.1's "loops [that] have static
+        // induction variables ... can therefore be completely
+        // unrolled"). A loop unrolls in this division iff some exit
+        // test's header-live dependencies are all in the current
+        // static store — that is what makes conditional
+        // specialization (§2.2.5) work: the guarded division unrolls,
+        // the unguarded one keeps a residual loop.
+        if let Some(assigned) = self.loop_assigned.get(&target) {
+            if assigned.contains(&v) {
+                let unrolls_here = self
+                    .unroll_exit_deps
+                    .get(&target)
+                    .is_some_and(|deps| deps.iter().any(|d| d.iter().all(|x| frame.contains(*x))));
+                let kept = unrolls_here
+                    && self
+                        .unroll_keep
+                        .get(&target)
+                        .is_some_and(|k| k.contains(&v));
+                if !kept {
+                    keep = false;
+                }
+            }
+        }
+        Some(keep)
     }
 }
 

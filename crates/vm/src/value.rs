@@ -87,10 +87,25 @@ impl Value {
     pub fn key_bits(self) -> u64 {
         match self {
             Value::I(v) => v as u64,
-            Value::F(v) => v.to_bits() ^ 0x8000_0000_0000_0000,
+            Value::F(v) => v.to_bits() ^ FLOAT_KEY_FLIP,
+        }
+    }
+
+    /// The value whose [`key_bits`](Value::key_bits) are `bits`, given
+    /// whether it is a float: the inverse of `key_bits`, bit for bit
+    /// (signed zeros, infinities and NaN payloads included).
+    #[inline]
+    pub fn from_key_bits(bits: u64, is_float: bool) -> Value {
+        if is_float {
+            Value::F(f64::from_bits(bits ^ FLOAT_KEY_FLIP))
+        } else {
+            Value::I(bits as i64)
         }
     }
 }
+
+/// What [`Value::key_bits`] flips in a float's bits.
+const FLOAT_KEY_FLIP: u64 = 0x8000_0000_0000_0000;
 
 impl Default for Value {
     fn default() -> Self {
@@ -157,6 +172,29 @@ mod tests {
     #[test]
     fn key_bits_distinguish_int_and_float_zero() {
         assert_ne!(Value::I(0).key_bits(), Value::F(0.0).key_bits());
+    }
+
+    #[test]
+    fn from_key_bits_inverts_key_bits() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let values = [
+            Value::I(0),
+            Value::I(-1),
+            Value::I(i64::MIN),
+            Value::I(i64::MAX),
+            Value::F(0.0),
+            Value::F(-0.0),
+            Value::F(f64::INFINITY),
+            Value::F(f64::NEG_INFINITY),
+            Value::F(f64::from_bits(1)),
+            Value::F(nan),
+            Value::F(-nan),
+        ];
+        for v in values {
+            let back = Value::from_key_bits(v.key_bits(), !v.is_int());
+            assert_eq!(back.is_int(), v.is_int(), "{v:?}: variant");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}: bits");
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Every miss of a runtime reuses the same specialization scratch (the
-//! dispatch core's tables: unit interner, labels, fixups, register map,
-//! rename table, emit buffer, worklist, unit graph), so nothing may carry
-//! from one miss to the next — not even from a specialization that
-//! aborted half-way through its generating extension.
+//! dispatch core's tables: unit interner, labels, fixups, static frame,
+//! register map, rename table, emit buffer, worklist, unit graph), so
+//! nothing may carry from one miss to the next — not even from a
+//! specialization that aborted half-way through its generating extension.
 //!
-//! Three regions whose functions differ in vreg and division counts take
+//! Five regions whose functions differ in vreg and division counts take
 //! turns missing in one runtime, interleaved with a key whose
-//! specialization divides by zero statically. Each miss must install the
+//! specialization divides by zero statically. Two of them load the static
+//! frame from more than an integer key: `sign` carries a static float
+//! across its unrolled loop's unit edges, which its keys make -0.0, +0.0
+//! and infinity, and `promo` misses at an internal promotion site, whose
+//! base store holds a static int and float. Each miss must install the
 //! code a fresh runtime builds for that key alone, instruction for
 //! instruction, and move the specialization meters exactly as much;
 //! through the single-threaded runtime and a one-thread shared runtime
@@ -31,6 +35,26 @@ const SOURCE: &str = r#"
         make_static(k);
         return x * k;
     }
+    int sign(int k, int x) {
+        make_static(k);
+        float f = (float) k * 0.0;
+        if (k > 100) { f = 1.0 / f; }
+        int acc = x;
+        int i = 3;
+        while (i > 0) {
+            if (1.0 / f < 0.0) { acc = acc * 2 + i; } else { acc = acc * 3 - i; }
+            if (f > 1.0) { acc = acc + 7; }
+            i = i - 1;
+        }
+        return acc;
+    }
+    int promo(int x, int k) {
+        make_static(k);
+        float s = (float) k * 0.5;
+        int j = x * 2 + k;
+        make_static(j);
+        return j * k + (int) s + x;
+    }
     int search(int n, int x) {
         make_static(n);
         int lo = 0;
@@ -51,27 +75,41 @@ const SOURCE: &str = r#"
 /// dynamic copy `y = x` just before it has left an alias pending.
 const ABORTING: i64 = 3;
 
-/// The dynamic argument of every call.
+/// The second argument of every call: dynamic, except in `promo`, where
+/// it is the entry key.
 const X: i64 = 4;
 
+/// `promo`'s first argument in the call that specializes its entry, so
+/// that every `promo` call in [`CALLS`] misses at its internal site only.
+const PROMO_WARM: i64 = 1000;
+
 /// The misses, in order: every region, each key new to the runtime, and
-/// the aborting key twice (a failed specialization caches nothing, so
-/// its second call misses again), each time followed by a miss with
-/// fewer units than the aborted one had interned, the second time in
-/// `step`, which has fewer vregs than the pending alias's number.
-const CALLS: [(&str, i64); 12] = [
+/// the aborting key three times (a failed specialization caches nothing,
+/// so each call misses again), the first two times followed by a miss
+/// with fewer units than the aborted one had interned, the second time
+/// in `step`, which has fewer vregs than the pending alias's number, and
+/// the third time by `sign`, whose frame holds a float.
+const CALLS: [(&str, i64); 20] = [
     ("tiny", 5),
+    ("sign", -4),
     ("search", 7),
+    ("promo", 1),
     ("tiny", ABORTING),
     ("tiny", 0),
+    ("sign", 200),
     ("search", 12),
+    ("promo", -9),
     ("tiny", -6),
     ("step", 2),
     ("tiny", ABORTING),
     ("step", 9),
     ("search", 3),
+    ("tiny", ABORTING),
+    ("sign", 3),
+    ("promo", 30),
     ("tiny", 10),
     ("search", 20),
+    ("sign", -77),
 ];
 
 fn expected(func: &str, key: i64) -> i64 {
@@ -87,6 +125,29 @@ fn expected(func: &str, key: i64) -> i64 {
             acc + 100 / (key - 3) + (7 - X) + y
         }
         "step" => X * key,
+        "sign" => {
+            // -0.0 for a negative key, +0.0 up to 100, infinity above.
+            let mut f = key as f64 * 0.0;
+            if key > 100 {
+                f = 1.0 / f;
+            }
+            let mut acc = X;
+            for i in (1..=3).rev() {
+                acc = if 1.0 / f < 0.0 {
+                    acc * 2 + i
+                } else {
+                    acc * 3 - i
+                };
+                if f > 1.0 {
+                    acc += 7;
+                }
+            }
+            acc
+        }
+        "promo" => {
+            let j = key * 2 + X;
+            j * X + (X as f64 * 0.5) as i64 + key
+        }
         _ => {
             let (mut lo, mut hi, mut steps) = (0, key, 0);
             while lo < hi {
@@ -109,11 +170,17 @@ enum Kind {
     Threaded,
 }
 
+/// A new session with `promo`'s entry specialized: the one internal site
+/// that creates is the session's first, so its id is the same in every
+/// session.
 fn session(program: &Program, kind: Kind) -> Session {
-    match kind {
+    let mut sess = match kind {
         Kind::Local => program.dynamic_session(),
         Kind::Threaded => program.threaded_session(&program.shared_runtime()),
-    }
+    };
+    let out = sess.run("promo", &[Value::I(PROMO_WARM), Value::I(X)]);
+    assert_eq!(out, Ok(Some(Value::I(expected("promo", PROMO_WARM)))));
+    sess
 }
 
 /// The specialization meters a miss moves: `(units_emitted,
@@ -196,7 +263,7 @@ fn reuse_matches_fresh_runtimes(kind: Kind) {
         assert_eq!(delta, fresh_delta, "{at}: meter deltas");
         assert_eq!(flag, flag_before || fresh_flag, "{at}: multi-way flag");
     }
-    assert_eq!(aborts, 2);
+    assert_eq!(aborts, 3);
     let stats = reused.rt_stats().unwrap();
     assert!(
         stats.loops_unrolled > 0 && stats.multi_way_unroll,
