@@ -360,8 +360,11 @@ impl ServeReport {
     /// * every miss is exactly one of: a won specialization, a
     ///   single-flight wait, a fallback, a lost publication race, or a
     ///   policy deferral/throttle,
-    /// * every cache lookup is a dispatch or a winner's/racer's
-    ///   post-lock re-probe.
+    /// * every cache lookup is a dispatch, a winner's/racer's post-lock
+    ///   re-probe, or the re-probe of a dispatch whose code another
+    ///   thread evicted (and whose registry slot it freed) before this
+    ///   thread could copy it. Such a dispatch may miss twice, and then
+    ///   counts as two misses.
     ///
     /// # Errors
     ///
@@ -394,10 +397,17 @@ impl ServeReport {
             ));
         }
         let lookups: u64 = s.shards.iter().map(|m| m.lookups).sum();
-        if lookups != self.dispatches + s.specializations + s.single_flight_races {
+        let accounted =
+            self.dispatches + s.specializations + s.single_flight_races + s.stale_reprobes;
+        if lookups != accounted {
             return Err(format!(
-                "shard lookups {} != dispatches {} + specializations {} + races {}",
-                lookups, self.dispatches, s.specializations, s.single_flight_races
+                "shard lookups {} != dispatches {} + specializations {} + races {} \
+                 + stale re-probes {}",
+                lookups,
+                self.dispatches,
+                s.specializations,
+                s.single_flight_races,
+                s.stale_reprobes
             ));
         }
         if self.miss_hist.count() != self.misses {
@@ -442,6 +452,14 @@ impl ServeReport {
         );
         let _ = writeln!(out, "{p}\"flight_races\": {},", s.single_flight_races);
         let _ = writeln!(out, "{p}\"evictions\": {},", s.cache_evictions);
+        let _ = writeln!(out, "{p}\"stale_reprobes\": {},", s.stale_reprobes);
+        let _ = writeln!(out, "{p}\"published\": {},", s.published);
+        let _ = writeln!(out, "{p}\"registry_live\": {},", s.registry_live);
+        let _ = writeln!(
+            out,
+            "{p}\"registry_high_water\": {},",
+            s.registry_high_water
+        );
         let _ = writeln!(out, "{p}\"policy_defers\": {},", s.policy_defers);
         let _ = writeln!(
             out,
@@ -821,6 +839,7 @@ mod tests {
         let json = r.json(0);
         assert!(json.contains("\"pattern\": \"zipfian\""));
         assert!(json.contains("\"p99_miss_ns\""));
+        assert!(json.contains("\"registry_high_water\""));
     }
 
     #[test]

@@ -218,14 +218,12 @@ impl Session {
                 .into_iter()
                 .map(|(s, k, f)| (s, k, self.module.func(f).clone()))
                 .collect(),
-            Exec::Threaded(rt) => {
-                let shared = rt.shared();
-                shared
-                    .cache_snapshot()
-                    .into_iter()
-                    .map(|(s, k, gid)| (s, k, shared.code(gid).as_ref().clone()))
-                    .collect()
-            }
+            Exec::Threaded(rt) => rt
+                .shared()
+                .cached_code()
+                .into_iter()
+                .map(|(s, k, f)| (s, k, f.as_ref().clone()))
+                .collect(),
         }
     }
 

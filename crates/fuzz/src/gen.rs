@@ -736,8 +736,13 @@ pub fn generate_case(seed: u64, cfg: GenConfig) -> TestCase {
         for c in candidates {
             let p = if c == "s0" { 0.85 } else { 0.5 };
             if g.chance(p) {
+                // A fifth of the annotations bound the cache to one or
+                // two entries, so the tuples evict (and the runtimes free
+                // what they evict).
                 let policy = match g.rng.next_u64() % 10 {
-                    0..=5 => Policy::CacheAll,
+                    0..=3 => Policy::CacheAll,
+                    4 => Policy::CacheAllBounded(1),
+                    5 => Policy::CacheAllBounded(2),
                     6..=7 => Policy::CacheIndexed,
                     _ => Policy::CacheOneUnchecked,
                 };

@@ -599,7 +599,7 @@ fn run_case_src(case: &TestCase, src: &str) -> Result<CaseReport, Box<Violation>
     }
 
     check_traced(case, src, &fused_obs, &paths[3], tuple0_ok)?;
-    check_threaded(case, src, &fused_obs, &paths[3], fused.specializations)?;
+    check_threaded(case, src, &fused_obs, &paths[3], &fused)?;
     check_warm(case, src, &fused_obs, &paths[3], &fused)?;
     check_native(case, src, &fused_obs, &paths[3])?;
     check_policy(case, src, &fused_obs, &paths[3], &fused)?;
@@ -739,12 +739,20 @@ fn normalized_code(mut entries: Vec<(u32, Vec<u64>, CodeFunc)>) -> NormalizedCod
 /// number of specializations globally (single-flight suppresses every
 /// duplicate). Error tuples must fail on every thread too, though the
 /// message may carry a racer's single-flight wrapping.
+///
+/// Under eviction (a `cache_all(k)` site overflowed on either path) the
+/// final cache and the specialization count depend on how the threads
+/// interleaved: which keys survive, and how often an evicted key came
+/// back. Per-tuple observables still must match, and so must the code of
+/// every entry-site key both caches still hold — with internal dispatch
+/// sites canonicalized, since a re-specialization numbers the promotion
+/// sites it creates afresh.
 fn check_threaded(
     case: &TestCase,
     src: &str,
     fused_obs: &[Obs],
     fused_path: &Path,
-    fused_specs: u64,
+    fused_rt: &RtStats,
 ) -> Result<(), Box<Violation>> {
     let program = catch_unwind(AssertUnwindSafe(|| {
         Compiler::with_config(OptConfig::all()).compile(src)
@@ -851,9 +859,17 @@ fn check_threaded(
             .collect()
     });
 
+    let stats = shared.stats();
+    let evicting = fused_rt.cache_evictions > 0 || stats.cache_evictions > 0;
     for snap in snapshots {
         let code = snap.map_err(Box::new)?;
-        if code != fused_code {
+        if evicting {
+            same_entry_code(
+                &code,
+                &fused_code,
+                program.staged().entry_sites.len() as u32,
+            )?;
+        } else if code != fused_code {
             return Err(Box::new(Violation::ThreadMismatch {
                 details: format!(
                     "shared cache diverged from fused cache:\n{code:#?}\nvs\n{fused_code:#?}"
@@ -861,8 +877,8 @@ fn check_threaded(
             }));
         }
     }
-    let stats = shared.stats();
-    if stats.specializations != fused_specs {
+    let fused_specs = fused_rt.specializations;
+    if !evicting && stats.specializations != fused_specs {
         return Err(Box::new(Violation::ThreadMismatch {
             details: format!(
                 "global specializations {} != fused {} (single-flight failed to \
@@ -878,6 +894,33 @@ fn check_threaded(
                 stats.single_flight_fallbacks
             ),
         }));
+    }
+    Ok(())
+}
+
+/// Under eviction: every entry-site key cached by both the shared and the
+/// fused cache maps to the same code, internal dispatch sites
+/// canonicalized.
+fn same_entry_code(
+    code: &NormalizedCode,
+    fused_code: &NormalizedCode,
+    n_entry: u32,
+) -> Result<(), Box<Violation>> {
+    for (site, key, c) in code.iter().filter(|(s, _, _)| *s < n_entry) {
+        let Some((_, _, want)) = fused_code.iter().find(|(s, k, _)| s == site && k == key) else {
+            continue;
+        };
+        let (got, want) = (
+            canonicalize_internal_points(c, n_entry),
+            canonicalize_internal_points(want, n_entry),
+        );
+        if got != want {
+            return Err(Box::new(Violation::ThreadMismatch {
+                details: format!(
+                    "site {site} key {key:?}: shared code diverged from fused:\n{got}\nvs\n{want}"
+                ),
+            }));
+        }
     }
     Ok(())
 }

@@ -242,6 +242,7 @@ mod tests {
                 "cache-warm-reject",
                 Category::Cache,
             ),
+            (EventKind::FlightStale, "flight-stale", Category::Flight),
         ];
         for &(kind, name, cat) in pinned {
             assert!(ALL_KINDS.contains(&kind), "{name} missing from ALL_KINDS");

@@ -84,6 +84,10 @@ pub enum EventKind {
     /// corrupted fingerprint, a site mismatch, or bounded-capacity
     /// surplus. The key re-specializes on its first dispatch.
     CacheWarmReject,
+    /// Concurrent only: the code a dispatch found had been unbound since,
+    /// and its registry slot freed or reused, by another thread before
+    /// this thread could copy it; the dispatch probed the cache again.
+    FlightStale,
 }
 
 /// Event categories — the `cat` field of the Chrome trace, and the
@@ -150,6 +154,7 @@ impl EventKind {
             EventKind::FlightRace => "flight-race",
             EventKind::GenericBuild => "generic-build",
             EventKind::CacheWarmReject => "cache-warm-reject",
+            EventKind::FlightStale => "flight-stale",
         }
     }
 
@@ -160,9 +165,10 @@ impl EventKind {
             | EventKind::DispatchMiss
             | EventKind::DispatchUnchecked
             | EventKind::DispatchIndexed => Category::Dispatch,
-            EventKind::FlightWait | EventKind::FlightFallback | EventKind::FlightRace => {
-                Category::Flight
-            }
+            EventKind::FlightWait
+            | EventKind::FlightFallback
+            | EventKind::FlightRace
+            | EventKind::FlightStale => Category::Flight,
             EventKind::GeExecBegin
             | EventKind::GeExecEnd
             | EventKind::GenericBuild
@@ -211,7 +217,7 @@ pub struct Event {
 }
 
 /// Every kind, in declaration order (test and exporter support).
-pub const ALL_KINDS: [EventKind; 22] = [
+pub const ALL_KINDS: [EventKind; 23] = [
     EventKind::DispatchHit,
     EventKind::DispatchMiss,
     EventKind::DispatchUnchecked,
@@ -234,6 +240,7 @@ pub const ALL_KINDS: [EventKind; 22] = [
     EventKind::FlightRace,
     EventKind::GenericBuild,
     EventKind::CacheWarmReject,
+    EventKind::FlightStale,
 ];
 
 #[cfg(test)]

@@ -182,7 +182,10 @@ pub fn site_profiles(events: &[Event]) -> Vec<SiteProfile> {
             EventKind::PolicyDefer => p.policy_defers += 1,
             EventKind::PolicyPromote => p.policy_promotes += 1,
             EventKind::PolicyThrottle => p.policy_throttled += 1,
-            EventKind::FlightRace | EventKind::GenericBuild | EventKind::CacheWarmReject => {}
+            EventKind::FlightRace
+            | EventKind::FlightStale
+            | EventKind::GenericBuild
+            | EventKind::CacheWarmReject => {}
         }
     }
     out

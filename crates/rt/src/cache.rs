@@ -242,8 +242,9 @@ impl<V: Copy> DoubleHashCache<V> {
         self.len += 1;
     }
 
-    /// Insert (or overwrite) a specialization for `key`.
-    pub fn insert(&mut self, key: Vec<u64>, value: V) {
+    /// Insert (or overwrite) a specialization for `key`, returning the
+    /// value it replaced.
+    pub fn insert(&mut self, key: Vec<u64>, value: V) -> Option<V> {
         if (self.len + self.tombs + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -261,11 +262,12 @@ impl<V: Copy> DoubleHashCache<V> {
                     }
                     self.slots[at] = Slot::Full(key, value);
                     self.len += 1;
-                    return;
+                    return None;
                 }
-                Slot::Full(k, _) if *k == key => {
+                Slot::Full(k, old) if *k == key => {
+                    let old = *old;
                     self.slots[idx] = Slot::Full(key, value);
-                    return;
+                    return Some(old);
                 }
                 Slot::Tomb => {
                     reuse.get_or_insert(idx);

@@ -22,6 +22,13 @@
 //! 5. copy the pass-through arguments and run the code, natively when it
 //!    has a machine-code entry.
 //!
+//! Code a store unbinds — a bounded site's eviction victim, an
+//! invalidated site's code, a thread's copy of code another thread
+//! evicted — is retired to the core, tagged with the VM's outermost run
+//! ([`Vm::current_run`]), and removed from the module by the first miss
+//! or fresh copy in a later run: no frame survives from one outermost
+//! run into the next, so the function is on no VM frame by then.
+//!
 //! Two code stores instantiate it. [`LocalStore`](crate::runtime::LocalStore)
 //! keeps the single-threaded per-policy tables whose probe counts feed
 //! the cycle model; [`Runtime`](crate::Runtime) is the core over it.
@@ -66,6 +73,30 @@ impl Lane {
     }
 }
 
+/// Functions a store has unbound but that may still be on a VM frame of
+/// the run that unbound them, each tagged with that run. The dispatch
+/// core frees them off the hit path, from the first miss or fresh copy
+/// that sees a different run.
+#[derive(Debug, Default)]
+pub(crate) struct Retired {
+    /// The outermost run of the dispatch in progress.
+    pub(crate) run: u64,
+    funcs: Vec<(u64, FuncId)>,
+}
+
+impl Retired {
+    /// Retire `func`, unbound during the current run.
+    pub(crate) fn push(&mut self, func: FuncId) {
+        self.funcs.push((self.run, func));
+    }
+
+    /// Retire `func`, unbound outside any run (an invalidation): the next
+    /// dispatch frees it.
+    pub(crate) fn push_idle(&mut self, func: FuncId) {
+        self.funcs.push((0, func));
+    }
+}
+
 /// Who resolves a miss, as decided by the store.
 pub(crate) enum Claim<C, T> {
     /// This dispatch specializes and publishes; `T` is held until then.
@@ -106,23 +137,37 @@ pub(crate) trait CodeStore {
     fn claim(&mut self, key: &[u64], vacancy: Self::Vacancy) -> Claim<Self::Code, Self::Ticket>;
     /// Bind `func`, just specialized into `module`, to `key`. Returns its
     /// handle and, when a bounded site evicted an entry to make room, the
-    /// evicted key's words (without the site) and its clock slot.
+    /// evicted key's words (without the site) and its clock slot. The
+    /// victim's code in `module` goes to `retired`.
     fn publish(
         &mut self,
         key: &[u64],
         ticket: Self::Ticket,
         func: FuncId,
         module: &Module,
+        retired: &mut Retired,
     ) -> (Self::Code, Option<(Vec<u64>, u32)>);
     /// The winner's specialization failed: release whoever waits on it.
     fn abandon(&mut self, key: &[u64], ticket: Self::Ticket, err: &VmError);
     /// `code` as a function of `module`, and whether it was copied into
-    /// `module` just now.
-    fn resolve(&mut self, code: Self::Code, module: &mut Module) -> (FuncId, bool);
+    /// `module` just now (an older copy it replaces goes to `retired`).
+    /// `None` when the handle is stale: the code was unbound, and its
+    /// slot freed, after the handle was taken.
+    fn resolve(
+        &mut self,
+        code: Self::Code,
+        module: &mut Module,
+        retired: &mut Retired,
+    ) -> Option<(FuncId, bool)>;
     /// The site's generic continuation as a function of `module`, whether
     /// it was compiled just now, and whether it was copied into `module`
     /// just now.
-    fn generic(&mut self, point: u32, module: &mut Module) -> (FuncId, bool, bool);
+    fn generic(
+        &mut self,
+        point: u32,
+        module: &mut Module,
+        retired: &mut Retired,
+    ) -> (FuncId, bool, bool);
     /// Run `f` with what a specialization of site `point` needs from the
     /// store: the staged program, the site, and the host new promotion
     /// sites register with.
@@ -177,6 +222,8 @@ pub struct Dispatcher<S> {
     /// Every table a specialization builds, lent to each miss and kept
     /// between misses (see `SpecScratch`).
     spec: SpecScratch,
+    /// Code unbound from the store, waiting for its run to end.
+    pub(crate) retired: Retired,
     /// Miss-path latency histogram (`SharedOptions::latency`). Boxed so
     /// the cold miss path's bookkeeping doesn't bloat the handler.
     miss_hist: Option<Box<LatencyHistogram>>,
@@ -217,6 +264,7 @@ impl<S> Dispatcher<S> {
             native: NativeEngine::new(),
             scratch_key: Vec::new(),
             spec: SpecScratch::default(),
+            retired: Retired::default(),
             miss_hist,
             live,
             global,
@@ -330,6 +378,22 @@ impl<S> Dispatcher<S> {
         Ok(DispatchOutcome::Invoke { func })
     }
 
+    /// Free every retired function whose run has ended: remove it from
+    /// `module` and drop its native entry, so a reused id never runs the
+    /// old machine code.
+    fn reclaim(&mut self, module: &mut Module) {
+        let run = self.retired.run;
+        let native = &mut self.native;
+        self.retired.funcs.retain(|&(r, f)| {
+            if r == run {
+                return true;
+            }
+            module.remove_func(f);
+            native.remove(f);
+            false
+        });
+    }
+
     /// The site's generic continuation in this handler's module. Like
     /// statically compiled code it costs no dynamic-compilation cycles
     /// and no I-cache flush; it is lowered to native code like any
@@ -338,7 +402,7 @@ impl<S> Dispatcher<S> {
     where
         S: CodeStore,
     {
-        let (func, built, fresh) = self.store.generic(point, module);
+        let (func, built, fresh) = self.store.generic(point, module, &mut self.retired);
         if built {
             self.note(EventKind::GenericBuild, point, &[], 0, 0, 0);
         }
@@ -413,6 +477,34 @@ impl<S> Dispatcher<S> {
         Ok(func)
     }
 
+    /// [`Self::miss`], timed into the miss-path latency histogram and the
+    /// live slot: miss detection → runnable code. Hits never come here,
+    /// so the warm path reads no clock.
+    fn timed_miss(
+        &mut self,
+        key: &[u64],
+        vacancy: S::Vacancy,
+        args: &[Value],
+        module: &mut Module,
+        vm: &mut Vm,
+    ) -> Result<Resolved<S::Code>, VmError>
+    where
+        S: CodeStore,
+    {
+        let t0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
+        let resolved = self.miss(key, vacancy, args, module, vm);
+        if let Some(t0) = t0 {
+            let d = now_ns().saturating_sub(t0);
+            if let Some(h) = self.miss_hist.as_mut() {
+                h.record(d);
+            }
+            if let Some(l) = &self.live {
+                l.slot.record_miss_ns(d);
+            }
+        }
+        resolved
+    }
+
     /// Resolve a miss on `key`: the adaptive policy's gate first (a
     /// deferred or throttled miss never enters the store's protocol),
     /// then the store's claim. Out of line, so the warm path stays small.
@@ -430,6 +522,7 @@ impl<S> Dispatcher<S> {
         S: CodeStore,
     {
         let point = key[0] as u32;
+        self.reclaim(module);
         let gate = self.store.policy().map(|eng| {
             let entry_site = (point as usize) < self.store.staged().entry_sites.len();
             (eng.on_miss(key, entry_site), u64::from(eng.count_of(key)))
@@ -463,7 +556,9 @@ impl<S> Dispatcher<S> {
             }
             Claim::Win(ticket) => match self.specialize(key, args, module, vm) {
                 Ok(func) => {
-                    let (code, evicted) = self.store.publish(key, ticket, func, module);
+                    let (code, evicted) =
+                        self.store
+                            .publish(key, ticket, func, module, &mut self.retired);
                     if let Some((old, slot)) = evicted {
                         self.note(
                             EventKind::CacheEvict,
@@ -503,6 +598,7 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
             )));
         }
         let policy = site.policy;
+        self.retired.run = vm.current_run();
         let mut key = std::mem::take(&mut self.scratch_key);
         key.clear();
         let cap = key.capacity();
@@ -541,7 +637,7 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
         self.stats.dispatch_cycles += cost;
         vm.stats.dispatch_cycles += cost;
 
-        let resolved = match found {
+        let mut resolved = match found {
             Some(code) => {
                 if let Some(eng) = self.store.policy() {
                     eng.note_hit(point);
@@ -552,48 +648,50 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
             None => {
                 vm.stats.dispatch_misses += 1;
                 self.note_key(EventKind::DispatchMiss, &key, vm, cost, b);
-                // Miss-path latency: miss detection → runnable code. Hits
-                // never reach this arm, so the warm path reads no clock.
-                let t0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
-                let resolved = self.miss(&key, vacancy, args, module, vm);
-                if let Some(t0) = t0 {
-                    let d = now_ns().saturating_sub(t0);
-                    if let Some(h) = self.miss_hist.as_mut() {
-                        h.record(d);
-                    }
-                    if let Some(l) = &self.live {
-                        l.slot.record_miss_ns(d);
-                    }
-                }
-                resolved
+                self.timed_miss(&key, vacancy, args, module, vm)
             }
         };
-        self.scratch_key = key;
 
         let cap = out_args.capacity();
-        let func = match resolved? {
-            Resolved::Code(code) => {
-                let (func, fresh) = self.store.resolve(code, module);
-                if fresh {
-                    // Another thread's code, first run here: installing it
-                    // in this module models the `imb` + install cost the
-                    // winner paid in its own.
-                    vm.flush_icache();
-                    self.charge(vm, self.costs.install);
-                    self.lower(point, func, None, module);
+        let func = loop {
+            let code = match resolved {
+                Ok(Resolved::Code(code)) => code,
+                Ok(Resolved::Generic(func)) => {
+                    // The generic continuation takes every dispatch argument.
+                    out_args.extend_from_slice(args);
+                    break func;
                 }
-                // Pass-through arguments, subset by the precomputed layout
-                // into the interpreter's reusable buffer.
-                let site = self.store.site(point);
-                out_args.extend(site.dyn_pos.iter().map(|&i| args[i]));
-                func
+                Err(e) => {
+                    self.scratch_key = key;
+                    return Err(e);
+                }
+            };
+            let Some((func, fresh)) = self.store.resolve(code, module, &mut self.retired) else {
+                // Another thread unbound the code and freed its slot after
+                // this dispatch found it: look the key up again.
+                self.note_key(EventKind::FlightStale, &key, vm, 0, 0);
+                resolved = match self.store.probe(lane, &key) {
+                    (Some(code), _, _) => Ok(Resolved::Code(code)),
+                    (None, _, vacancy) => self.timed_miss(&key, vacancy, args, module, vm),
+                };
+                continue;
+            };
+            if fresh {
+                // Another thread's code, first run here: installing it
+                // in this module models the `imb` + install cost the
+                // winner paid in its own.
+                vm.flush_icache();
+                self.charge(vm, self.costs.install);
+                self.lower(point, func, None, module);
+                self.reclaim(module);
             }
-            Resolved::Generic(func) => {
-                // The generic continuation takes every dispatch argument.
-                out_args.extend_from_slice(args);
-                func
-            }
+            // Pass-through arguments, subset by the precomputed layout
+            // into the interpreter's reusable buffer.
+            let site = self.store.site(point);
+            out_args.extend(site.dyn_pos.iter().map(|&i| args[i]));
+            break func;
         };
+        self.scratch_key = key;
         if out_args.capacity() != cap {
             self.stats.dispatch_allocs += 1;
         }

@@ -110,6 +110,21 @@ pub(crate) fn heap_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
+/// The name of a specialization of `region` about to be installed in
+/// `module`: `<region>$spec<n>`, `n` counting the functions the module has
+/// ever installed, so a name is never reused even when a slot is. Written
+/// into a string sized for it, so naming allocates exactly once.
+pub(crate) fn spec_name(region: &str, module: &Module) -> String {
+    use std::fmt::Write;
+    let n = module.installed();
+    let digits = n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut name = String::with_capacity(region.len() + "$spec".len() + digits);
+    name.push_str(region);
+    name.push_str("$spec");
+    let _ = write!(name, "{n}");
+    name
+}
+
 /// Every table a specialization builds, owned by the dispatch core (one
 /// per [`Runtime`](crate::Runtime) or [`ThreadRuntime`](crate::ThreadRuntime),
 /// beside its key buffer) and lent to each miss's executor.
@@ -292,7 +307,7 @@ impl GeExecutor<'_> {
         stats.divisions_observed += t.divisions_observed;
         env.charge(vm, cycles);
 
-        let name = format!("{}$spec{}", staged.ir.funcs[site.func].name, module.len());
+        let name = spec_name(&staged.ir.funcs[site.func].name, module);
         let mut cf = CodeFunc::new(name, n_dyn as usize, n_regs);
         // The module gets the code at its exact length; the buffer keeps
         // its capacity for the next miss.
@@ -1013,6 +1028,20 @@ fn patch_imm_f(ins: &mut Instr, k: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_names_are_written_into_strings_sized_for_them() {
+        let mut m = Module::new();
+        for n in 0..=12 {
+            let name = spec_name("region", &m);
+            assert_eq!(name, format!("region$spec{n}"));
+            assert_eq!(name.capacity(), name.len());
+            m.add_func(CodeFunc::new(name, 0, 1));
+        }
+        // Removing a function does not reuse its ordinal.
+        m.remove_func(FuncId(3));
+        assert_eq!(spec_name("r", &m), "r$spec13");
+    }
     use dyc_ir::analysis::NaturalLoop;
     use dyc_ir::VReg;
     use dyc_stage::GeDivision;

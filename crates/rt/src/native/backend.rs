@@ -359,6 +359,14 @@ impl NativeEngine {
         self.entries.get(&func).cloned()
     }
 
+    /// Forget `func`'s entry: its id is about to be freed and may be
+    /// reused by code whose lowering falls back. The machine code stays
+    /// in the arena (whose bytes are never reused), so an entry already
+    /// cloned by a running call stays valid.
+    pub fn remove(&mut self, func: FuncId) {
+        self.entries.remove(&func);
+    }
+
     /// Number of installed functions.
     pub fn installed(&self) -> usize {
         self.entries.len()

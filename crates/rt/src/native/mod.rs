@@ -109,6 +109,9 @@ mod stub {
         pub fn installed(&self) -> usize {
             0
         }
+
+        /// Nothing is installed, so nothing to forget.
+        pub fn remove(&mut self, _func: FuncId) {}
     }
 
     /// Statically unreachable: no [`Entry`] value can exist.

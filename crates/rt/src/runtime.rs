@@ -11,7 +11,7 @@
 
 use crate::artifact::{self, CacheBundle, CodeArtifact, WarmHost};
 use crate::cache::{CacheEntry, DoubleHashCache};
-use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane};
+use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane, Retired};
 use crate::ge_exec::SpecHost;
 use crate::policy::{PolicyEngine, PolicyParams};
 use crate::stats::Sinks;
@@ -185,7 +185,8 @@ impl SpecHost for SiteTable {
 /// site's policy — the unchecked slot, the 256-entry array with its
 /// hashed overflow, the double-hash table, or the bounded table with its
 /// second-chance clock. Installed code lives in the one module the
-/// runtime runs.
+/// runtime runs; code a bounded site evicts, or an invalidation drops,
+/// is retired to the dispatch core, which removes it from the module.
 #[derive(Debug)]
 pub struct LocalStore {
     staged: StagedProgram,
@@ -259,6 +260,7 @@ impl CodeStore for LocalStore {
         slot: Option<usize>,
         func: FuncId,
         _module: &Module,
+        retired: &mut Retired,
     ) -> (FuncId, Option<(Vec<u64>, u32)>) {
         let point = key[0] as u32;
         let words = &key[1..];
@@ -306,7 +308,9 @@ impl CodeStore for LocalStore {
                     };
                     *hand = (victim + 1) % *cap;
                     let old = std::mem::replace(&mut clock[victim], (words.to_vec(), true)).0;
-                    cache.remove(&old);
+                    if let Some((gone, _)) = cache.remove(&old) {
+                        retired.push(gone);
+                    }
                     (victim as u32, Some((old, victim as u32)))
                 };
                 cache.fill(reserved(), words.to_vec(), (func, idx));
@@ -321,11 +325,21 @@ impl CodeStore for LocalStore {
     fn abandon(&mut self, _key: &[u64], _slot: Option<usize>, _err: &VmError) {}
 
     #[inline]
-    fn resolve(&mut self, func: FuncId, _module: &mut Module) -> (FuncId, bool) {
-        (func, false)
+    fn resolve(
+        &mut self,
+        func: FuncId,
+        _module: &mut Module,
+        _retired: &mut Retired,
+    ) -> Option<(FuncId, bool)> {
+        Some((func, false))
     }
 
-    fn generic(&mut self, point: u32, module: &mut Module) -> (FuncId, bool, bool) {
+    fn generic(
+        &mut self,
+        point: u32,
+        module: &mut Module,
+        _retired: &mut Retired,
+    ) -> (FuncId, bool, bool) {
         let p = point as usize;
         if p >= self.generic.len() {
             self.generic.resize(p + 1, None);
@@ -372,11 +386,15 @@ impl WarmHost for LocalWarm<'_> {
         }
         let f = self.module.add_func(art.to_func());
         match state {
-            CacheState::All(c) => c.insert(key.clone(), f),
+            CacheState::All(c) => {
+                c.insert(key.clone(), f);
+            }
             CacheState::One(slot) => *slot = Some(f),
             CacheState::Indexed { slots, overflow } => match key.as_slice() {
                 [v] if *v < 256 => slots[*v as usize] = Some(f),
-                k => overflow.insert(k.to_vec(), f),
+                k => {
+                    overflow.insert(k.to_vec(), f);
+                }
             },
             CacheState::Bounded { cache, clock, .. } => {
                 clock.push((key.clone(), true));
@@ -434,21 +452,33 @@ impl Runtime {
     }
 
     /// Drop every specialization cached at `point`. The next dispatch
-    /// through the site re-specializes from scratch; the already-installed
-    /// code stays in the module (it is never re-entered through this site)
-    /// and cumulative probe meters survive via
-    /// [`DoubleHashCache::clear`]'s explicit-reset contract.
+    /// through the site re-specializes from scratch. The dropped code is
+    /// retired, and the next dispatch removes it from the module (an
+    /// invalidation runs outside any VM run, so no frame holds it);
+    /// cumulative probe meters survive via [`DoubleHashCache::clear`]'s
+    /// explicit-reset contract.
     pub fn invalidate_site(&mut self, point: u32) {
+        let retired = &mut self.retired;
         match &mut self.store.table.caches[point as usize] {
-            CacheState::All(c) => c.clear(),
-            CacheState::One(f) => *f = None,
+            CacheState::All(c) => {
+                c.iter().for_each(|(_, f)| retired.push_idle(f));
+                c.clear();
+            }
+            CacheState::One(f) => {
+                if let Some(f) = f.take() {
+                    retired.push_idle(f);
+                }
+            }
             CacheState::Indexed { slots, overflow } => {
+                slots.iter().flatten().for_each(|&f| retired.push_idle(f));
+                overflow.iter().for_each(|(_, f)| retired.push_idle(f));
                 **slots = [None; 256];
                 overflow.clear();
             }
             CacheState::Bounded {
                 cache, clock, hand, ..
             } => {
+                cache.iter().for_each(|(_, (f, _))| retired.push_idle(f));
                 cache.clear();
                 clock.clear();
                 *hand = 0;

@@ -32,7 +32,7 @@
 //! unit starts; the worklist and tail chain carry unit ids only.
 
 use crate::emitter::{mov_const, opnd_value, EmitScratch, Emitter, Frame, Opnd};
-use crate::ge_exec::{SpecEnv, SpecHost, SPEC_BUDGET};
+use crate::ge_exec::{spec_name, SpecEnv, SpecHost, SPEC_BUDGET};
 use crate::runtime::Site;
 use crate::sink::VmSink;
 use dyc_bta::{inst_binding, Binding, OptConfig};
@@ -156,7 +156,7 @@ impl Specializer<'_> {
         let cycles = spec.em.total_cycles();
         env.charge(vm, cycles);
 
-        let name = format!("{}$spec{}", spec.f.name, module.len());
+        let name = spec_name(&spec.f.name, module);
         let mut cf = dyc_vm::CodeFunc::new(name, n_dyn as usize, spec.em.next_reg.max(1) as usize);
         cf.code = spec.em.take_code();
         Ok(module.add_func(cf))

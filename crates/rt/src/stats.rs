@@ -258,14 +258,15 @@ pub(crate) enum Counter {
     PolicyPromotes,
     PolicyThrottles,
     InternalPromotions,
+    FlightStales,
 }
 
 /// Number of [`Counter`]s.
-const N_COUNTERS: usize = 15;
+const N_COUNTERS: usize = 16;
 
 impl RtStats {
-    /// The field `c` names, if this struct has one (races and generic
-    /// continuations are shared-runtime meters only).
+    /// The field `c` names, if this struct has one (races, stale handles
+    /// and generic continuations are shared-runtime meters only).
     fn field(&mut self, c: Counter) -> Option<&mut u64> {
         Some(match c {
             Counter::Specializations => &mut self.specializations,
@@ -281,7 +282,9 @@ impl RtStats {
             Counter::PolicyPromotes => &mut self.policy_promotes,
             Counter::PolicyThrottles => &mut self.policy_throttled,
             Counter::InternalPromotions => &mut self.internal_promotions,
-            Counter::FlightRaces | Counter::GenericContinuations => return None,
+            Counter::FlightRaces | Counter::FlightStales | Counter::GenericContinuations => {
+                return None
+            }
         })
     }
 }
@@ -333,6 +336,7 @@ fn meter(kind: EventKind) -> Meter {
         K::FlightWait => both(C::FlightWaits, &[L::FlightWaits], true),
         K::FlightFallback => both(C::FlightFallbacks, &[L::FlightFallbacks], true),
         K::FlightRace => row(None, Some(C::FlightRaces), &[L::FlightRaces], true),
+        K::FlightStale => row(None, Some(C::FlightStales), &[], true),
         // A specialization counts per thread when it starts (a failed one
         // still counts) and globally when it finishes.
         K::GeExecBegin => row(Some(C::Specializations), None, &[], true),

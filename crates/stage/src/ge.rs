@@ -91,10 +91,9 @@ pub enum GeOp {
 #[derive(Debug, Clone)]
 pub struct EdgePlan {
     /// Target division (encodes the successor block and the resulting
-    /// static-variable set).
+    /// static-variable set: its `vars` are the variables carried into
+    /// the successor's static store).
     pub target: u32,
-    /// Variables carried into the successor's static store (sorted).
-    pub carry: Vec<VReg>,
     /// Variables demoted at this edge — materialized as constant moves
     /// before the transfer (sorted). Dead statics are simply dropped and
     /// appear in neither list.
@@ -497,7 +496,6 @@ impl Lowerer<'_> {
     fn edge_plan(&mut self, target: BlockId, s: &BTreeSet<VReg>) -> Option<EdgePlan> {
         let bta = &self.sf.bta;
         let live_in = &self.sf.live.live_in[target.index()];
-        let mut carry = Vec::new();
         let mut demote = Vec::new();
         let mut out = BTreeSet::new();
         for v in s {
@@ -528,7 +526,6 @@ impl Lowerer<'_> {
                 }
             }
             if keep {
-                carry.push(*v);
                 out.insert(*v);
             } else {
                 demote.push(*v);
@@ -537,7 +534,6 @@ impl Lowerer<'_> {
         let target_div = self.intern(target, 0, out)?;
         Some(EdgePlan {
             target: target_div,
-            carry,
             demote,
         })
     }
@@ -700,19 +696,20 @@ mod tests {
         for d in &gef.divisions {
             let vars: BTreeSet<VReg> = d.vars.iter().copied().collect();
             let check = |p: &EdgePlan| {
-                // Every carried/demoted variable was static in the
-                // division (the body may have grown/shrunk the set, so
-                // only sortedness is asserted strictly).
-                let mut sorted = p.carry.clone();
+                // The carried variables (the target division's `vars`)
+                // and the demoted ones were static in the division (the
+                // body may have grown/shrunk the set, so only sortedness
+                // and disjointness are asserted strictly).
+                let target = &gef.divisions[p.target as usize];
+                let mut sorted = target.vars.clone();
                 sorted.sort();
-                assert_eq!(sorted, p.carry);
+                assert_eq!(sorted, target.vars);
                 let mut sorted = p.demote.clone();
                 sorted.sort();
                 assert_eq!(sorted, p.demote);
-                let target = &gef.divisions[p.target as usize];
                 let tvars: BTreeSet<VReg> = target.vars.iter().copied().collect();
-                for v in &p.carry {
-                    assert!(tvars.contains(v));
+                for v in &p.demote {
+                    assert!(!tvars.contains(v), "{v:?} both carried and demoted");
                 }
                 let _ = &vars;
             };

@@ -111,6 +111,11 @@ pub struct Vm {
     /// The run loop's stacks and argument buffers, persisted across runs
     /// so a steady-state call or dispatch never touches the heap.
     stacks: Stacks,
+    /// Outermost runs started so far (see [`Vm::current_run`]).
+    runs: u64,
+    /// Runs in progress: 1 inside an outermost run, more while native
+    /// code re-enters the interpreter.
+    depth: u32,
 }
 
 /// One activation: a window `regs[base..]` on the register stack (the
@@ -163,6 +168,8 @@ impl Vm {
             output: Vec::new(),
             max_steps: u64::MAX,
             stacks: Stacks::default(),
+            runs: 0,
+            depth: 0,
         }
     }
 
@@ -182,6 +189,18 @@ impl Vm {
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
+    }
+
+    /// The number of the outermost run in progress (or of the last one):
+    /// 1 for the first. A run nested in another — native code re-entering
+    /// the interpreter through its dispatch handler — keeps the number of
+    /// the run it is nested in.
+    ///
+    /// No frame survives from one outermost run into the next, and a run
+    /// holds its handler mutably throughout, so a handler may free code it
+    /// unbound during run *r* once it is dispatching in any other run.
+    pub fn current_run(&self) -> u64 {
+        self.runs
     }
 
     /// Invalidate the I-cache (called by the run-time system after
@@ -233,11 +252,16 @@ impl Vm {
         // them back so their capacity carries over to the next run. A run
         // re-entered from a static call sees empty stacks and hands back
         // its own, which the outer run's then replace.
+        if self.depth == 0 {
+            self.runs += 1;
+        }
+        self.depth += 1;
         let mut st = std::mem::take(&mut self.stacks);
         st.regs.clear();
         st.frames.clear();
         let r = self.run_frames(module, handler, func, args, &mut st);
         self.stacks = st;
+        self.depth -= 1;
         r
     }
 
@@ -1143,6 +1167,62 @@ mod tests {
         let mut want = stats(2, 1, 1, 1);
         want.dispatch_cycles = 10;
         assert_eq!(vm.stats, want);
+    }
+
+    #[test]
+    fn nested_runs_share_the_outermost_run_number() {
+        // The handler re-enters the interpreter, as native code does
+        // through `native_call`, and records the run number inside both.
+        struct Nested {
+            leaf: FuncId,
+            seen: Vec<u64>,
+        }
+        impl DispatchHandler for Nested {
+            fn dispatch(
+                &mut self,
+                _point: u32,
+                args: &[Value],
+                _out_args: &mut Vec<Value>,
+                module: &mut Module,
+                vm: &mut Vm,
+            ) -> Result<DispatchOutcome, VmError> {
+                self.seen.push(vm.current_run());
+                let value = vm.call(module, self.leaf, args)?;
+                self.seen.push(vm.current_run());
+                Ok(DispatchOutcome::Completed { value })
+            }
+        }
+        let mut m = Module::new();
+        let mut leaf = crate::module::CodeFunc::new("leaf", 1, 1);
+        leaf.push(Instr::Ret { src: Some(0) });
+        let leaf = m.add_func(leaf);
+        let mut cf = crate::module::CodeFunc::new("t", 1, 2);
+        cf.push(Instr::Dispatch {
+            point: 0,
+            dst: Some(1),
+            args: vec![0],
+        });
+        cf.push(Instr::Ret { src: Some(1) });
+        let id = m.add_func(cf);
+        let mut vm = Vm::without_icache(CostModel::unit());
+        assert_eq!(vm.current_run(), 0);
+        let mut h = Nested {
+            leaf,
+            seen: Vec::new(),
+        };
+        for _ in 0..2 {
+            let out = vm.call_with_handler(&mut m, &mut h, id, &[Value::I(4)]);
+            assert_eq!(out, Ok(Some(Value::I(4))));
+        }
+        assert_eq!(h.seen, [1, 1, 2, 2]);
+        // A failed run ends like any other.
+        assert_eq!(
+            vm.call(&mut m, id, &[Value::I(4)]),
+            Err(VmError::NoDispatchHandler)
+        );
+        assert_eq!(vm.current_run(), 3);
+        vm.call(&mut m, leaf, &[Value::I(1)]).unwrap();
+        assert_eq!(vm.current_run(), 4);
     }
 
     #[test]

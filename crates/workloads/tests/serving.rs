@@ -8,14 +8,18 @@
 //! bench for the harness). `dyc_serve` replays the same streams at
 //! 10^6–10^8 dispatches; this file pins the behavior CI can afford.
 
-use dyc::obs::{Json, LiveHandles, LiveMetric, Sampler, SamplerConfig, Watchdog, WatchdogConfig};
-use dyc::{Compiler, Value};
-use dyc_bench::traffic::{
-    expected, replay, replay_live, serve_source, Pattern, ServeConfig, StreamConfig, TrafficGen,
-    ALL_PATTERNS,
+use dyc::obs::{
+    Json, LatencyHistogram, LiveHandles, LiveMetric, Sampler, SamplerConfig, Watchdog,
+    WatchdogConfig,
 };
+use dyc::{Compiler, CostModel, SharedOptions, SharedRuntime, Value};
+use dyc_bench::traffic::{
+    expected, replay, replay_live, serve_source, Pattern, ServeConfig, ServeReport, StreamConfig,
+    TrafficGen, ALL_PATTERNS,
+};
+use dyc_vm::Vm;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Dispatch budget for the replay tests: 10^5 in release (the scale the
@@ -405,4 +409,112 @@ fn scrape_value(body: &str, name: &str) -> f64 {
         .filter(|l| !l.starts_with('#'))
         .find_map(|l| l.strip_prefix(name)?.trim_start().parse().ok())
         .unwrap_or(0.0)
+}
+
+/// Four threads replay a churn stream against one `cache_all(256)` site:
+/// every eviction frees its code's registry slot, and each thread frees
+/// its copies of evicted code. Two bounds hold under any schedule: the
+/// registry never holds more than the site's bound, the code each thread
+/// has in transit (a publication not yet bound, or a victim unbound but
+/// not yet freed: at most two slots per thread) and the generic
+/// continuations; and no thread's module holds more than its base
+/// functions, one copy per registry slot and the two functions one run
+/// may retire.
+#[test]
+fn four_thread_churn_frees_evicted_code() {
+    const BOUND: u64 = 256;
+    const THREADS: usize = 4;
+    let program = Compiler::new()
+        .compile(&serve_source(Some(BOUND as u32)))
+        .expect("serve source compiles");
+    let shared = program.shared_runtime_with(SharedOptions {
+        latency: true,
+        ..SharedOptions::default()
+    });
+    let gen = TrafficGen::new(StreamConfig {
+        churn_window: 384,
+        ..StreamConfig::of(Pattern::Churn)
+    });
+    let per_thread = n_dispatches() / THREADS as u64;
+    let base = shared.base_module().len();
+    let barrier = Barrier::new(THREADS);
+    // Each thread's miss histogram and the most functions its module held.
+    let outs: Vec<(LatencyHistogram, usize)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, gen, barrier) = (&shared, &gen, &barrier);
+                s.spawn(move || {
+                    let mut h = SharedRuntime::thread(shared);
+                    let mut module = shared.base_module();
+                    let mut vm = Vm::new(CostModel::alpha21164());
+                    let id = module.func_by_name("serve").expect("serve");
+                    let mut stream = gen.stream(5, t as u32);
+                    let mut most = module.len();
+                    barrier.wait();
+                    for i in 0..per_thread {
+                        let (key, x) = (stream.next_key() as i64, (i % 5) as i64);
+                        let out = vm
+                            .call_with_handler(
+                                &mut module,
+                                &mut h,
+                                id,
+                                &[Value::I(key), Value::I(x)],
+                            )
+                            .expect("serve runs");
+                        assert_eq!(out, Some(Value::I(expected(key, x))), "serve({key}, {x})");
+                        most = most.max(module.len());
+                    }
+                    (h.miss_latency().cloned().expect("latency on"), most)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("serving thread"))
+            .collect()
+    });
+
+    let mut miss_hist = LatencyHistogram::new();
+    for (h, _) in &outs {
+        miss_hist.merge(h);
+    }
+    let snapshot = shared.stats();
+    let dispatches = per_thread * THREADS as u64;
+    let misses = miss_hist.count();
+    let report = ServeReport {
+        pattern: "churn",
+        dispatches,
+        threads: THREADS,
+        seed: 5,
+        wall_ns: 0,
+        throughput: 0.0,
+        hits: dispatches - misses,
+        misses,
+        hit_rate: 0.0,
+        miss_hist,
+        probes_per_lookup: 0.0,
+        shard_imbalance: 0.0,
+        cache_shards: shared.n_cache_shards(),
+        flight_shards: shared.n_flight_shards(),
+        snapshot: snapshot.clone(),
+        code_digest: 0,
+    };
+    report.balance_check().expect("meters balance");
+    assert!(
+        snapshot.cache_evictions > dispatches / 10,
+        "cache_all({BOUND}) under a 384-key churn must evict"
+    );
+    let bound = BOUND + 2 * THREADS as u64 + snapshot.generic_continuations;
+    assert!(
+        snapshot.registry_high_water <= bound,
+        "{} registry slots over a bound of {bound}",
+        snapshot.registry_high_water
+    );
+    assert!(snapshot.registry_live <= snapshot.registry_high_water);
+    for (t, (_, most)) in outs.iter().enumerate() {
+        assert!(
+            *most as u64 <= base as u64 + bound + 2,
+            "thread {t}: {most} functions over {base} base functions"
+        );
+    }
 }

@@ -150,6 +150,39 @@ fn degenerate_demoted_region_overhead_ordering() {
 
 /// The generator must be a pure function of the case seed: the corpus
 /// and every printed repro depend on it.
+/// Found by dyc-fuzz once it sampled `cache_all(1)` (case seed
+/// 4845446686184769625, seed-1 run): on the threaded path each thread
+/// reads the shared cache's code when it finishes its tuples, while the
+/// other threads still evict. `Session::cached_code` listed the bindings
+/// and then read each one's registry slot, which another thread's
+/// eviction could free in between, and panicked. The shared runtime now
+/// reads each binding's code with the snapshot and leaves out a binding
+/// whose slot was freed. The race depends on the schedule, so the case
+/// is replayed a number of times.
+#[test]
+fn threaded_cache_read_races_eviction() {
+    let src = "static int helper0(int p0, int p1) {\n    return p0;\n}\n\n\
+static int helper1(int p0, int p1) {\n    return ~(-3) & (3 && p1);\n}\n\n\
+int fuzz_target(int s0, int s1, int d0, int d1, int arr[], int an) {\n    \
+make_static(s0: cache_all(1), s1);\n    int i0 = 0;\n    int i1 = 0;\n    \
+int x0 = 4;\n    int x1 = 32;\n    int x2 = -3;\n    x0 = s1 >= (1 + -3);\n    \
+return (i1 / (i0 | 1)) + iabs(i1);\n}\n";
+    let t = |a: [i64; 4]| a.iter().map(|&v| ScalarArg::I(v)).collect::<Vec<_>>();
+    for _ in 0..50 {
+        pin_arr(
+            src,
+            Some(vec![1, 0, 0, 3, 0, 16, 0, 0]),
+            None,
+            vec![
+                t([8, 5, -12, -4]),
+                t([7, 3, -30, 17]),
+                t([0, 2, -33, -36]),
+                t([8, 5, -12, -4]),
+            ],
+        );
+    }
+}
+
 #[test]
 fn generation_is_a_pure_function_of_the_seed() {
     for seed in [1u64, 42, 0xdead_beef] {

@@ -1,5 +1,6 @@
-//! A cache-hit region entry never touches the heap, and a miss allocates
-//! only what it publishes (DESIGN.md §9).
+//! A cache-hit region entry never touches the heap, a miss allocates
+//! only what it publishes (DESIGN.md §9), and a long run under key churn
+//! holds a bounded heap: evicted code is freed.
 //!
 //! The binary installs a counting global allocator. Counting is armed
 //! per thread, so allocations made by other tests running in parallel,
@@ -13,14 +14,19 @@
 //! A miss reuses the dispatch core's specialization scratch, static
 //! frame included (each unit's store is decoded from its interned key),
 //! so once it has grown, what a miss still allocates is what it
-//! publishes: the module copy of the code and its name (formatting the
-//! name grows it once), and the cache and clock copies of the key — plus,
-//! in the shared runtime, the registry copy, the flight and its key. The
-//! churn tests pin that count on a bounded site whose tables are already
-//! full, so every miss also evicts.
+//! publishes: the module copy of the code and its name, and the cache
+//! and clock copies of the key — plus, in the shared runtime, the
+//! registry copy, the flight and its key. The churn tests pin that count
+//! on a bounded site whose tables are already full, so every miss also
+//! evicts, and the evicted code's module and registry slots are reused.
+//!
+//! The allocator also tracks the bytes each thread holds. The bounded-heap
+//! tests read them after a short and a long run of fresh-key misses on a
+//! `cache_all(256)` site: the two readings must agree within a fixed
+//! slack, through both runtimes.
 
 use dyc::{Compiler, Session, Value};
-use dyc_bench::traffic::{expected, serve_source};
+use dyc_bench::traffic::{expected, serve_source, Pattern, StreamConfig, TrafficGen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -29,13 +35,20 @@ struct Counting;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread, armed or not.
+    /// Memory freed by a thread other than its allocator's would skew
+    /// it; the tests reading it run single-threaded.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note() {
+/// Record an allocation (`count`) that changed this thread's heap by
+/// `bytes`.
+fn note(count: bool, bytes: i64) {
     // `try_with`: the allocator also runs while thread-locals are torn
     // down, when they can no longer be read.
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
     let _ = ARMED.try_with(|armed| {
-        if armed.get() {
+        if count && armed.get() {
             COUNT.with(|c| c.set(c.get() + 1));
         }
     });
@@ -46,21 +59,22 @@ fn note() {
 // which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 }
@@ -160,20 +174,154 @@ fn churn_miss_allocations(mut sess: Session) -> u64 {
 #[test]
 fn churn_misses_through_a_dynamic_session_allocate_only_what_they_publish() {
     let program = Compiler::new().compile(&serve_source(Some(256))).unwrap();
-    // 5.0 per miss; 16.0 while each unit edge built a `BTreeMap` store,
-    // 137.4 before the specialization scratch.
-    assert_eq!(churn_miss_allocations(program.dynamic_session()), 5_005);
+    // 4.0 per miss. 5,005 while the name was formatted (it grew once)
+    // and every install grew the module (the evicted code stayed): now
+    // the name is written into a string sized for it, and the install
+    // reuses the slot the last miss's victim freed. 16.0 per miss while
+    // each unit edge built a `BTreeMap` store, 137.4 before the
+    // specialization scratch.
+    assert_eq!(churn_miss_allocations(program.dynamic_session()), 4_004);
 }
 
 #[test]
 fn churn_misses_through_a_threaded_session_allocate_only_what_they_publish() {
     let program = Compiler::new().compile(&serve_source(Some(256))).unwrap();
     let shared = program.shared_runtime();
-    // 11.0 per miss (22.0 with `BTreeMap` stores, 143.4 before the
-    // specialization scratch): the shared runtime also publishes the
-    // registry copy of the code, and a flight keyed in its wait-map.
+    // 10.0 per miss: the shared runtime also publishes the registry copy
+    // of the code, and a flight keyed in its wait-map. 11,003 while the
+    // name was formatted and the module, the registry and the thread's
+    // slot map grew with every publication: now the name is sized up
+    // front and the victim's freed slots are reused in all three. 22.0
+    // per miss with `BTreeMap` stores, 143.4 before the specialization
+    // scratch.
     assert_eq!(
         churn_miss_allocations(program.threaded_session(&shared)),
-        11_003
+        10_000
     );
+}
+
+/// Bytes the bounded-heap readings may differ by: hash-table rehashes and
+/// allocator rounding. Code that stayed installed after its eviction
+/// retained about 2 KB per miss.
+const HEAP_SLACK: i64 = 256 * 1024;
+/// The `cache_all(k)` bound of the bounded-heap tests.
+const BOUND: usize = 256;
+
+/// Call `serve(key, x)` on `sess` for `calls` keys drawn from `next_key`,
+/// checking every result and that the module never holds more than the
+/// base functions, the site's bound and two functions retired but not
+/// yet freed. Returns this thread's live heap after each of the `marks`
+/// calls.
+fn churn_live_bytes(
+    sess: &mut Session,
+    calls: u64,
+    marks: [u64; 2],
+    mut next_key: impl FnMut() -> i64,
+) -> [i64; 2] {
+    let base = sess.module_len();
+    let mut readings = [0; 2];
+    for i in 1..=calls {
+        let (key, x) = (next_key(), (i % 5) as i64);
+        let out = sess.run("serve", &[Value::I(key), Value::I(x)]);
+        assert_eq!(
+            out,
+            Ok(Some(Value::I(expected(key, x)))),
+            "serve({key}, {x})"
+        );
+        assert!(
+            sess.module_len() <= base + BOUND + 2,
+            "call {i}: {} functions in the module over {base} base functions",
+            sess.module_len()
+        );
+        if let Some(m) = marks.iter().position(|&m| m == i) {
+            readings[m] = LIVE.with(Cell::get);
+        }
+    }
+    readings
+}
+
+/// Warm `sess` on [`WARM_KEYS`] keys, then read the live heap after a
+/// short and after a long run of fresh-key misses. The run lengths are
+/// 5,000 and 50,000 misses in release, a tenth of that in debug.
+fn fresh_miss_heap(mut sess: Session) {
+    let scale = if cfg!(debug_assertions) { 10 } else { 1 };
+    let (short, long) = (5_000 / scale, 50_000 / scale);
+    let mut next = 0;
+    let mut fresh = || {
+        next += 1;
+        next - 1
+    };
+    churn_live_bytes(
+        &mut sess,
+        WARM_KEYS as u64,
+        [1, WARM_KEYS as u64],
+        &mut fresh,
+    );
+    let specs = sess.rt_stats().expect("dynamic session").specializations;
+    let [a, b] = churn_live_bytes(&mut sess, long, [short, long], &mut fresh);
+    assert_eq!(
+        sess.rt_stats().expect("dynamic session").specializations,
+        specs + long,
+        "every fresh key misses"
+    );
+    assert!(
+        (b - a).abs() < HEAP_SLACK,
+        "live heap moved by {} bytes between {short} and {long} misses",
+        b - a
+    );
+}
+
+#[test]
+fn fresh_key_misses_through_a_dynamic_session_hold_a_bounded_heap() {
+    let program = Compiler::new()
+        .compile(&serve_source(Some(BOUND as u32)))
+        .unwrap();
+    fresh_miss_heap(program.dynamic_session());
+}
+
+#[test]
+fn fresh_key_misses_through_a_threaded_session_hold_a_bounded_heap() {
+    let program = Compiler::new()
+        .compile(&serve_source(Some(BOUND as u32)))
+        .unwrap();
+    let shared = program.shared_runtime();
+    fresh_miss_heap(program.threaded_session(&shared));
+    let s = shared.stats();
+    assert!(
+        s.registry_high_water <= BOUND as u64 + 1,
+        "{} registry slots for a {BOUND}-entry site",
+        s.registry_high_water
+    );
+}
+
+/// A long-running server under key churn: 10^7 dispatches of the churn
+/// stream (a 384-key window sliding one key every 64 calls, about a third
+/// of the calls missing) through one thread of a shared runtime, with the
+/// bounded-heap assertions. Run with `cargo test --release --test
+/// warm_entry_alloc -- --ignored`.
+#[test]
+#[ignore = "10^7 dispatches: about half a minute in release"]
+fn churn_soak_holds_a_bounded_heap() {
+    let program = Compiler::new()
+        .compile(&serve_source(Some(BOUND as u32)))
+        .unwrap();
+    let shared = program.shared_runtime();
+    let mut sess = program.threaded_session(&shared);
+    let mut stream = TrafficGen::new(StreamConfig {
+        churn_window: 384,
+        ..StreamConfig::of(Pattern::Churn)
+    })
+    .stream(5, 0);
+    let calls = 10_000_000;
+    let [a, b] = churn_live_bytes(&mut sess, calls, [calls / 10, calls], || {
+        stream.next_key() as i64
+    });
+    assert!(
+        (b - a).abs() < HEAP_SLACK,
+        "live heap moved by {} bytes over the last 90% of the soak",
+        b - a
+    );
+    let s = shared.stats();
+    assert!(s.cache_evictions > calls / 5, "the soak must churn");
+    assert!(s.registry_high_water <= BOUND as u64 + 1);
 }
