@@ -30,19 +30,33 @@ pub fn violation_kind(case: &TestCase) -> Option<&'static str> {
     }
 }
 
-/// The shrink-preservation key of a case. Like [`violation_kind`] but
-/// compile errors keep their path and message: minimizing a compile
-/// failure down to *any other* compile failure (delete the decl, keep
-/// the use — still "compile") would destroy the repro, so the key pins
-/// the exact diagnostic.
+/// The shrink-preservation key of a case: [`violation_kind`] plus what
+/// a smaller case must keep to be the same failure — a compile error's
+/// path and message, a crash's path. A panic that escapes the oracle is
+/// a crash on path `oracle`.
 pub fn violation_key(case: &TestCase) -> Option<String> {
     match catch_unwind(AssertUnwindSafe(|| run_case(case))) {
         Ok(Ok(_)) => None,
-        Ok(Err(v)) => Some(match *v {
-            Violation::Compile { path, ref msg } => format!("compile:{path}:{msg}"),
-            ref other => other.kind().to_string(),
-        }),
-        Err(_) => Some("crash".to_string()),
+        Ok(Err(v)) => Some(key_of(&v)),
+        Err(_) => Some(key_of(&Violation::Crash {
+            path: "oracle",
+            msg: String::new(),
+        })),
+    }
+}
+
+/// The shrink-preservation key of a violation. A compile error keeps its
+/// path and message: minimizing a compile failure down to *any other*
+/// compile failure (delete the decl, keep the use — still "compile")
+/// would destroy the repro, so the key pins the exact diagnostic. A
+/// crash keeps its path but not its message, which changes as the case
+/// shrinks (an address or a value in it): a crash on another path is
+/// another bug, which the shrinker must not settle on.
+fn key_of(v: &Violation) -> String {
+    match v {
+        Violation::Compile { path, msg } => format!("compile:{path}:{msg}"),
+        Violation::Crash { path, .. } => format!("crash:{path}"),
+        other => other.kind().to_string(),
     }
 }
 
@@ -661,6 +675,27 @@ mod tests {
             assert!(!apply_expr_op(&mut p, n, ExprMode::ShrinkConst));
             assert_eq!(p, case.program);
         }
+    }
+
+    #[test]
+    fn crash_keys_keep_the_path_not_the_message() {
+        let crash = |path, msg: &str| {
+            key_of(&Violation::Crash {
+                path,
+                msg: msg.into(),
+            })
+        };
+        assert_ne!(
+            crash("interp", "index out of bounds"),
+            crash("threaded", "index out of bounds"),
+            "a crash on another path is another failure"
+        );
+        assert_eq!(
+            crash("threaded", "registry slot 3 was freed"),
+            crash("threaded", "registry slot 9 was freed"),
+            "the message may change as the case shrinks"
+        );
+        assert_eq!(crash("oracle", ""), "crash:oracle");
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Serializable specialized code: the [`ArtifactSink`] backend, the
-//! versioned [`CodeArtifact`] format, and the [`CacheBundle`] that
-//! persists a runtime's entire dynamic-code cache across process
-//! restarts.
+//! Serializable specialized code: the versioned [`CodeArtifact`]
+//! format, and the [`CacheBundle`] that persists a runtime's entire
+//! dynamic-code cache across process restarts.
 //!
 //! DyC's payoff depends on amortizing specialization cost over reuse
 //! (§4.2's break-even analysis) — yet a process restart re-pays full
@@ -22,12 +21,12 @@
 //! `f64`, every 64-bit quantity is carried as a *string*: signed
 //! immediates in decimal (`"-7"`), raw bit patterns (hashes, cache-key
 //! words, float bits) in hex (`"0x0123..."`). Small indices (registers,
-//! offsets, unit ids) ride as plain JSON numbers, which are exact below
-//! 2^53.
+//! branch targets, vregs) ride as plain JSON numbers, which are exact
+//! below 2^53.
 
+use crate::fnv::fnv1a;
 use crate::policy::PolicyEngine;
 use crate::runtime::Site;
-use crate::sink::{fnv1a, CodeSink};
 use crate::stats::Sinks;
 use dyc_bta::OptConfig;
 use dyc_ir::{BlockId, IrTy, VReg};
@@ -41,8 +40,9 @@ use std::ops::Deref;
 /// Version tag written into every artifact and bundle. Bump it whenever
 /// the wire format or the meaning of any serialized field changes; a
 /// version mismatch at warm-start rejects the entry (metered, not
-/// fatal).
-pub const ARTIFACT_VERSION: u32 = 1;
+/// fatal). Version 2 carries code only; version 1 also carried unit,
+/// fixup and hole tables that no loader read.
+pub const ARTIFACT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Fingerprints
@@ -99,91 +99,6 @@ pub fn program_hash(staged: &StagedProgram) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// ArtifactSink
-// ---------------------------------------------------------------------
-
-/// The artifact-producing [`CodeSink`]: records the identical
-/// instruction stream a [`crate::sink::VmSink`] would hold *plus* the
-/// structural metadata a self-contained artifact needs — unit
-/// boundaries, resolved branch fixups, and per-instruction template-hole
-/// counts.
-#[derive(Debug, Default)]
-pub struct ArtifactSink {
-    /// The emitted instructions (branches patched in place, exactly like
-    /// the VM backend).
-    pub code: Vec<Instr>,
-    /// `(unit id, start offset)` per sealed unit, in seal order.
-    pub units: Vec<(u32, u32)>,
-    /// `(instruction offset, resolved target)` per patched branch.
-    pub fixups: Vec<(u32, u32)>,
-    /// `(instruction offset, holes patched)` per template-copied
-    /// instruction.
-    pub holes: Vec<(u32, u16)>,
-}
-
-impl CodeSink for ArtifactSink {
-    fn emitted(&self) -> usize {
-        self.code.len()
-    }
-
-    fn begin_unit(&mut self, id: u32, label: u32) {
-        self.units.push((id, label));
-    }
-
-    fn push(&mut self, ins: Instr, templated: bool, patches: u16) {
-        if templated {
-            self.holes.push((self.code.len() as u32, patches));
-        }
-        self.code.push(ins);
-    }
-
-    fn patch_branch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Instr::Jmp { target: t }
-            | Instr::Brz { target: t, .. }
-            | Instr::Brnz { target: t, .. } => *t = target,
-            other => unreachable!("fixup on non-branch {other:?}"),
-        }
-        self.fixups.push((at as u32, target));
-    }
-}
-
-impl ArtifactSink {
-    /// Package the recorded stream as a [`CodeArtifact`] for the given
-    /// cache binding. `key_schema` is the site's promoted-variable list
-    /// (vreg numbers, in key order) — enough for a loader to sanity-check
-    /// that `key` means what it meant at snapshot time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn into_artifact(
-        self,
-        config_hash: u64,
-        program_hash: u64,
-        site: u32,
-        key: Vec<u64>,
-        key_schema: Vec<u32>,
-        name: String,
-        n_params: usize,
-        n_regs: usize,
-    ) -> CodeArtifact {
-        CodeArtifact {
-            version: ARTIFACT_VERSION,
-            config_hash,
-            program_hash,
-            site,
-            key,
-            key_schema,
-            name,
-            n_params,
-            n_regs,
-            code: self.code,
-            units: self.units,
-            fixups: self.fixups,
-            holes: self.holes,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // CodeArtifact
 // ---------------------------------------------------------------------
 
@@ -213,12 +128,6 @@ pub struct CodeArtifact {
     pub n_regs: usize,
     /// The emitted instructions, branches resolved.
     pub code: Vec<Instr>,
-    /// `(unit id, start offset)` per specialization unit.
-    pub units: Vec<(u32, u32)>,
-    /// `(instruction offset, target)` label/fixup table.
-    pub fixups: Vec<(u32, u32)>,
-    /// `(instruction offset, holes patched)` per-unit hole descriptors.
-    pub holes: Vec<(u32, u16)>,
 }
 
 impl CodeArtifact {
@@ -278,16 +187,6 @@ impl CodeArtifact {
             }
             s.push_str(&instr_to_json(ins));
         }
-        s.push(']');
-        let _ = write!(s, ",\"units\":{}", pair_arr(&self.units));
-        let _ = write!(s, ",\"fixups\":{}", pair_arr(&self.fixups));
-        s.push_str(",\"holes\":[");
-        for (i, (at, n)) in self.holes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{at},{n}]");
-        }
         s.push_str("]}");
         s
     }
@@ -320,12 +219,6 @@ impl CodeArtifact {
             n_params: get_u32(j, "n_params")? as usize,
             n_regs: get_u32(j, "n_regs")? as usize,
             code,
-            units: get_pair_arr(j, "units")?,
-            fixups: get_pair_arr(j, "fixups")?,
-            holes: get_pair_arr(j, "holes")?
-                .into_iter()
-                .map(|(a, b)| (a, b as u16))
-                .collect(),
         })
     }
 }
@@ -688,18 +581,6 @@ fn num_arr(vs: &[u32]) -> String {
     s
 }
 
-fn pair_arr(vs: &[(u32, u32)]) -> String {
-    let mut s = String::from("[");
-    for (i, (a, b)) in vs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "[{a},{b}]");
-    }
-    s.push(']');
-    s
-}
-
 fn parse_hex(j: &Json) -> Result<u64, String> {
     let s = j.str().ok_or("expected hex string")?;
     let digits = s.strip_prefix("0x").ok_or("hex string missing 0x")?;
@@ -741,23 +622,6 @@ fn get_hex_arr(j: &Json, key: &str) -> Result<Vec<u64>, String> {
         .ok_or_else(|| format!("missing array '{key}'"))?
         .iter()
         .map(parse_hex)
-        .collect()
-}
-
-fn get_pair_arr(j: &Json, key: &str) -> Result<Vec<(u32, u32)>, String> {
-    j.get(key)
-        .and_then(Json::arr)
-        .ok_or_else(|| format!("missing array '{key}'"))?
-        .iter()
-        .map(|v| {
-            let p = v.arr().ok_or_else(|| format!("bad pair in '{key}'"))?;
-            if p.len() != 2 {
-                return Err(format!("bad pair arity in '{key}'"));
-            }
-            let a = p[0].num().ok_or_else(|| format!("bad pair in '{key}'"))? as u32;
-            let b = p[1].num().ok_or_else(|| format!("bad pair in '{key}'"))? as u32;
-            Ok((a, b))
-        })
         .collect()
 }
 
@@ -1281,10 +1145,9 @@ pub(crate) fn restore(
     installed
 }
 
-/// Wrap an already-installed [`CodeFunc`] as a single-unit artifact —
-/// the snapshot path for code whose unit structure was not recorded at
-/// emission time (the cache holds only the final instruction stream).
-#[allow(clippy::too_many_arguments)]
+/// The artifact of an installed [`CodeFunc`] bound to `(site, key)`,
+/// stamped with the current [`ARTIFACT_VERSION`] and the given
+/// fingerprints — the snapshot path of both runtimes.
 pub fn artifact_for_func(
     config_hash: u64,
     program_hash: u64,
@@ -1293,21 +1156,18 @@ pub fn artifact_for_func(
     key_schema: Vec<u32>,
     f: &CodeFunc,
 ) -> CodeArtifact {
-    let mut sink = ArtifactSink::default();
-    sink.begin_unit(0, 0);
-    for ins in &f.code {
-        sink.push(ins.clone(), false, 0);
-    }
-    sink.into_artifact(
+    CodeArtifact {
+        version: ARTIFACT_VERSION,
         config_hash,
         program_hash,
         site,
         key,
         key_schema,
-        f.name.clone(),
-        f.n_params,
-        f.n_regs,
-    )
+        name: f.name.clone(),
+        n_params: f.n_params,
+        n_regs: f.n_regs,
+        code: f.code.clone(),
+    }
 }
 
 #[cfg(test)]
@@ -1451,25 +1311,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_sink_records_code_identically_plus_structure() {
-        use crate::sink::VmSink;
-        let mut vm = VmSink::default();
-        let mut art = ArtifactSink::default();
-        for s in [&mut vm as &mut dyn CodeSink, &mut art as &mut dyn CodeSink] {
-            s.begin_unit(0, 0);
-            s.push(Instr::MovI { dst: 0, imm: 1 }, false, 0);
-            s.push(Instr::Jmp { target: u32::MAX }, true, 2);
-            s.begin_unit(1, 2);
-            s.push(Instr::Halt, false, 0);
-            s.patch_branch(1, 2);
-        }
-        assert_eq!(art.code, vm.code, "artifact backend sees identical code");
-        assert_eq!(art.units, vec![(0, 0), (1, 2)]);
-        assert_eq!(art.fixups, vec![(1, 2)]);
-        assert_eq!(art.holes, vec![(1, 2)]);
-    }
-
-    #[test]
     fn artifact_json_round_trips() {
         let art = CodeArtifact {
             version: ARTIFACT_VERSION,
@@ -1482,11 +1323,28 @@ mod tests {
             n_params: 2,
             n_regs: 37,
             code: every_instr(),
-            units: vec![(0, 0), (2, 10)],
-            fixups: vec![(15, 3)],
-            holes: vec![(1, 2), (8, 1)],
         };
         let j = Json::parse(&art.to_json()).expect("valid JSON");
+        let Json::Obj(fields) = &j else {
+            panic!("an artifact is a JSON object")
+        };
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "version",
+                "config",
+                "program",
+                "site",
+                "key",
+                "key_schema",
+                "name",
+                "n_params",
+                "n_regs",
+                "code"
+            ],
+            "version 2 carries code only"
+        );
         let back = CodeArtifact::from_json(&j).expect("parses");
         // NaN in the code: compare via re-serialization.
         assert_eq!(back.to_json(), art.to_json());
@@ -1495,6 +1353,7 @@ mod tests {
         let f = back.to_func();
         assert_eq!(f.name, "region$spec7");
         assert_eq!(f.code.len(), art.code.len());
+        assert_eq!((f.n_params, f.n_regs), (2, 37));
     }
 
     #[test]

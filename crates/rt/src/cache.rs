@@ -13,8 +13,14 @@
 //! ([`crate::concurrent`]) stores registry handles. Deletion (needed by
 //! the bounded `cache_all(k)` eviction policy) uses tombstones so probe
 //! chains through deleted slots stay intact.
+//!
+//! A bounded site picks what to evict with one second-chance clock
+//! (`EvictCtl`), the same in both code stores.
 
+use crate::policy::PolicyEngine;
 use dyc_vm::FuncId;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Result of a metered lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,6 +374,123 @@ impl<V: Copy> DoubleHashCache<V> {
 impl<V: Copy> Default for DoubleHashCache<V> {
     fn default() -> Self {
         DoubleHashCache::new()
+    }
+}
+
+/// Second-chance clock for one bounded (`cache_all(k)`) site. Reference
+/// bits are atomics so the shared store's cache-hit path can mark an
+/// entry recently used without taking the clock mutex. The key ring and
+/// hand are only touched under the mutex, which the shared store holds
+/// across a binding's admit, victim removal and insert (and an
+/// invalidation's purge and reset), so the site's bindings and its ring
+/// never disagree: every binding is evictable, and the site never holds
+/// more than its capacity. The single-threaded store reaches the ring
+/// through `Mutex::get_mut`.
+#[derive(Debug)]
+pub(crate) struct EvictCtl {
+    /// Reference bit per clock slot.
+    pub(crate) bits: Box<[AtomicBool]>,
+    pub(crate) clock: Mutex<ClockKeys>,
+}
+
+/// The key ring of an [`EvictCtl`].
+#[derive(Debug)]
+pub(crate) struct ClockKeys {
+    /// The key per retained entry, indexed by clock slot.
+    keys: Vec<Vec<u64>>,
+    hand: usize,
+    /// Effective capacity. Starts at the declared `cache_all(k)` bound;
+    /// the adaptive policy may grow it, never past `max`, the number of
+    /// reference bits, which are pre-allocated at the largest capacity
+    /// so they are never reallocated while the hit path touches them
+    /// lock-free.
+    cap: usize,
+    max: usize,
+}
+
+impl EvictCtl {
+    /// The clock of a `cache_all(k)` site, whose capacity may grow to
+    /// `growth` times `k` (see [`EvictCtl::growth`]).
+    pub(crate) fn new(k: u32, growth: usize) -> EvictCtl {
+        let cap = k.max(1) as usize;
+        let max = cap.saturating_mul(growth.max(1));
+        EvictCtl {
+            bits: (0..max).map(|_| AtomicBool::new(false)).collect(),
+            clock: Mutex::new(ClockKeys {
+                keys: Vec::new(),
+                hand: 0,
+                cap,
+                max,
+            }),
+        }
+    }
+
+    /// How many times its declared bound a bounded site's capacity may
+    /// grow: the adaptive `policy`'s `cap_growth_limit` (its
+    /// [`PolicyEngine::cap_for`] never asks for more), 1 without one.
+    pub(crate) fn growth(policy: Option<&PolicyEngine>) -> usize {
+        policy.map_or(1, |e| e.params().cap_growth_limit.max(1))
+    }
+
+    /// Mark clock slot `idx` recently used.
+    pub(crate) fn touch(&self, idx: u32) {
+        self.bits[idx as usize].store(true, Ordering::Relaxed);
+    }
+}
+
+impl ClockKeys {
+    /// Raise the effective capacity to `n` (clamped to the pre-allocated
+    /// maximum; never shrinks).
+    pub(crate) fn grow_to(&mut self, n: usize) {
+        self.cap = self.cap.max(n.min(self.max));
+    }
+
+    /// True when the ring already retains its capacity — admitting
+    /// another key would evict. Warm-start uses this to reject surplus
+    /// bundle entries instead of evicting ones it just restored.
+    pub(crate) fn at_capacity(&self) -> bool {
+        self.keys.len() >= self.cap
+    }
+
+    /// Admit `key`, choosing an eviction victim if the ring is at
+    /// capacity; `bits` are the clock's reference bits. Returns the clock
+    /// slot for the new entry and the evicted key, if any. The caller
+    /// removes the victim's binding and inserts the new one before it
+    /// releases the ring: a binding inserted after another thread's admit
+    /// had already chosen its slot would never be evicted.
+    pub(crate) fn admit(&mut self, bits: &[AtomicBool], key: &[u64]) -> (u32, Option<Vec<u64>>) {
+        let cap = self.cap;
+        if self.keys.len() < cap {
+            self.keys.push(key.to_vec());
+            let idx = self.keys.len() - 1;
+            bits[idx].store(true, Ordering::Relaxed);
+            return (idx as u32, None);
+        }
+        // Sweep, clearing reference bits until an unreferenced victim
+        // turns up: within one revolution when only this thread sets
+        // bits. Concurrent hits can re-set bits mid-sweep, so bound the
+        // sweep at two revolutions and then take the hand's slot.
+        let mut steps = 0;
+        let victim = loop {
+            steps += 1;
+            if steps > 2 * cap || !bits[self.hand].swap(false, Ordering::Relaxed) {
+                break self.hand;
+            }
+            self.hand = (self.hand + 1) % cap;
+        };
+        self.hand = (victim + 1) % cap;
+        let old = std::mem::replace(&mut self.keys[victim], key.to_vec());
+        bits[victim].store(true, Ordering::Relaxed);
+        (victim as u32, Some(old))
+    }
+
+    /// Empty the ring and clear `bits`, the clock's reference bits.
+    pub(crate) fn reset(&mut self, bits: &[AtomicBool]) {
+        self.keys.clear();
+        self.hand = 0;
+        for b in bits {
+            b.store(false, Ordering::Relaxed);
+        }
     }
 }
 

@@ -80,7 +80,7 @@
 //! ```
 
 use crate::artifact::{self, CacheBundle, CodeArtifact, WarmHost};
-use crate::cache::{DoubleHashCache, Probed};
+use crate::cache::{DoubleHashCache, EvictCtl, Probed};
 use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane, Retired};
 use crate::ge_exec::SpecHost;
 use crate::policy::{PolicyEngine, PolicyParams};
@@ -91,7 +91,7 @@ use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, Trace};
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, VmError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// What a racing thread does when another thread is already specializing
@@ -303,104 +303,6 @@ impl<V: Copy> std::fmt::Debug for ShardedCache<V> {
     }
 }
 
-/// Second-chance clock for one bounded (`cache_all(k)`) site. Reference
-/// bits are atomics so the cache-hit path can mark an entry recently
-/// used without taking the clock mutex; the key ring and hand are only
-/// touched under the mutex, which a binding's admit, victim removal and
-/// insert hold throughout (and an invalidation's purge and reset), so
-/// the site's bindings and its ring never disagree: every binding is
-/// evictable, and the site never holds more than its capacity.
-#[derive(Debug)]
-struct EvictCtl {
-    bits: Box<[AtomicBool]>,
-    clock: Mutex<ClockKeys>,
-}
-
-#[derive(Debug)]
-struct ClockKeys {
-    /// Full shared-cache key per retained entry, indexed by clock slot.
-    keys: Vec<Vec<u64>>,
-    hand: usize,
-    /// Effective capacity. Starts at the declared `cache_all(k)` bound;
-    /// the adaptive policy may grow it (never past `bits.len()`, which
-    /// is pre-allocated at the maximum so reference bits are never
-    /// reallocated while the hit path touches them lock-free).
-    cap: usize,
-}
-
-impl EvictCtl {
-    fn new(cap: usize, max_cap: usize) -> EvictCtl {
-        let max_cap = max_cap.max(cap);
-        EvictCtl {
-            bits: (0..max_cap).map(|_| AtomicBool::new(false)).collect(),
-            clock: Mutex::new(ClockKeys {
-                keys: Vec::new(),
-                hand: 0,
-                cap,
-            }),
-        }
-    }
-
-    fn touch(&self, idx: u32) {
-        self.bits[idx as usize].store(true, Ordering::Relaxed);
-    }
-
-    /// Raise the effective capacity to `n` (clamped to the
-    /// pre-allocated maximum; never shrinks).
-    fn grow_to(&self, n: usize) {
-        let mut c = self.clock.lock().unwrap();
-        c.cap = c.cap.max(n.min(self.bits.len()));
-    }
-
-    /// Admit `key` into the ring `c` (this clock's, locked by the
-    /// caller), choosing an eviction victim if the site is at capacity.
-    /// Returns the clock slot for the new entry and the evicted key, if
-    /// any. The caller removes the victim's binding and inserts the new
-    /// one before it releases the ring: a binding inserted after another
-    /// thread's admit had already chosen its slot would never be evicted.
-    fn admit(&self, c: &mut ClockKeys, key: &[u64]) -> (u32, Option<Vec<u64>>) {
-        let cap = c.cap;
-        if c.keys.len() < cap {
-            c.keys.push(key.to_vec());
-            let idx = c.keys.len() - 1;
-            self.bits[idx].store(true, Ordering::Relaxed);
-            return (idx as u32, None);
-        }
-        // Sweep, clearing reference bits until an unreferenced victim
-        // turns up. Concurrent hits can re-set bits mid-sweep, so bound
-        // the sweep at two revolutions and then take the hand's slot.
-        let mut steps = 0;
-        let victim = loop {
-            steps += 1;
-            if steps > 2 * cap || !self.bits[c.hand].swap(false, Ordering::Relaxed) {
-                break c.hand;
-            }
-            c.hand = (c.hand + 1) % cap;
-        };
-        c.hand = (victim + 1) % cap;
-        let old = std::mem::replace(&mut c.keys[victim], key.to_vec());
-        self.bits[victim].store(true, Ordering::Relaxed);
-        (victim as u32, Some(old))
-    }
-
-    /// Empty the ring `c` (this clock's, locked by the caller).
-    fn reset(&self, c: &mut ClockKeys) {
-        c.keys.clear();
-        c.hand = 0;
-        for b in self.bits.iter() {
-            b.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// True when the clock already retains `cap` entries — admitting
-    /// another key would evict. Warm-start uses this to reject surplus
-    /// bundle entries instead of evicting ones it just restored.
-    fn at_capacity(&self) -> bool {
-        let c = self.clock.lock().unwrap();
-        c.keys.len() >= c.cap
-    }
-}
-
 /// One shared dispatch site: the [`Site`] itself plus the concurrent
 /// per-site state (eviction clock, lazily built generic continuation).
 #[derive(Debug)]
@@ -413,15 +315,10 @@ struct SiteEntry {
 }
 
 impl SiteEntry {
-    /// `cap_growth` is the adaptive policy's bound multiplier (1 in
-    /// `Always` mode): reference bits are pre-allocated at
-    /// `k * cap_growth` so capacity growth never reallocates them.
-    fn new(site: Site, cap_growth: usize) -> SiteEntry {
+    /// A bounded site's clock may grow `growth` times its bound.
+    fn new(site: Site, growth: usize) -> SiteEntry {
         let evict = match site.policy {
-            SitePolicy::CacheAllBounded(k) => {
-                let k = k.max(1) as usize;
-                Some(EvictCtl::new(k, k.saturating_mul(cap_growth.max(1))))
-            }
+            SitePolicy::CacheAllBounded(k) => Some(EvictCtl::new(k, growth)),
             _ => None,
         };
         SiteEntry {
@@ -760,7 +657,8 @@ impl SpecHost for &SharedRuntime {
         site.precompute_layout();
         let mut sites = self.sites.write().unwrap();
         let id = sites.len() as u32;
-        sites.push(Arc::new(SiteEntry::new(site, self.cap_growth())));
+        let growth = EvictCtl::growth(self.policy.as_ref());
+        sites.push(Arc::new(SiteEntry::new(site, growth)));
         id
     }
 }
@@ -823,14 +721,6 @@ impl SharedRuntime {
     /// The adaptive policy engine, when enabled (diagnostics and tests).
     pub fn policy_engine(&self) -> Option<&PolicyEngine> {
         self.policy.as_ref()
-    }
-
-    /// Bounded-cap growth multiplier for new sites: the policy's
-    /// `cap_growth_limit` in adaptive mode, 1 otherwise.
-    fn cap_growth(&self) -> usize {
-        self.policy
-            .as_ref()
-            .map_or(1, |e| e.params().cap_growth_limit.max(1))
     }
 
     /// A fresh per-thread dispatch handler. Pair it with
@@ -946,7 +836,7 @@ impl SharedRuntime {
             return None;
         };
         let mut ring = ev.clock.lock().unwrap();
-        let (clock_idx, old) = ev.admit(&mut ring, key);
+        let (clock_idx, old) = ring.admit(&ev.bits, key);
         let gone = old
             .as_ref()
             .and_then(|k| self.cache.remove(k))
@@ -984,7 +874,7 @@ impl SharedRuntime {
             .map(|v| v.gid)
             .collect();
         if let (Some(ev), Some(ring)) = (ev, ring.as_mut()) {
-            ev.reset(ring);
+            ring.reset(&ev.bits);
         }
         drop(ring);
         for &g in &gone {
@@ -1119,7 +1009,7 @@ impl WarmHost for &SharedRuntime {
         let entry = Arc::clone(&self.sites.read().unwrap()[art.site as usize]);
         // Surplus beyond a bounded site's capacity is rejected, not
         // admitted at the expense of entries just restored.
-        if entry.evict.as_ref().is_some_and(EvictCtl::at_capacity) {
+        if (entry.evict.as_ref()).is_some_and(|ev| ev.clock.lock().unwrap().at_capacity()) {
             return None;
         }
         let mut key = Vec::with_capacity(art.key.len() + 1);
@@ -1235,7 +1125,8 @@ impl CodeStore for SharedStore {
         {
             // Auto-sizing: revivals observed at this site grow the
             // effective bound (pre-allocated headroom, so no reallocation).
-            ev.grow_to(eng.cap_for(key[0] as u32, k.max(1) as usize));
+            let cap = eng.cap_for(key[0] as u32, k.max(1) as usize);
+            ev.clock.lock().unwrap().grow_to(cap);
         }
         let evicted = shared.bind(entry, key, gid);
         shared.inflight.shard(key).lock().unwrap().remove(key);

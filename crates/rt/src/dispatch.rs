@@ -39,7 +39,7 @@
 
 use crate::costs::DynCosts;
 use crate::ge_exec::{GeExecutor, SpecEnv, SpecHost, SpecScratch, SCRATCH_KEEP_BYTES};
-use crate::native::{exec_entry, lower_func, NativeArtifact, NativeDispatch, NativeEngine};
+use crate::native::{exec_entry, lower_func, NativeDispatch, NativeEngine};
 use crate::policy::{PolicyDecision, PolicyEngine};
 use crate::runtime::Site;
 use crate::specializer::Specializer;
@@ -332,24 +332,16 @@ impl<S> Dispatcher<S> {
         );
     }
 
-    /// Code just installed in this handler's module: when the native
-    /// backend is on, hand its lowered artifact (`art`, or a fresh
-    /// lowering) to the engine and meter the outcome. The VM code stays
-    /// installed as the always-correct fallback.
-    pub(crate) fn lower(
-        &mut self,
-        point: u32,
-        func: FuncId,
-        art: Option<NativeArtifact>,
-        module: &Module,
-    ) where
-        S: CodeStore,
-    {
+    /// Code just installed in this handler's module — a specialization,
+    /// a generic continuation, another thread's code or a warm-started
+    /// entry: when the native backend is on, lower it and hand the result
+    /// to the engine, and meter the outcome. The VM code stays installed
+    /// as the always-correct fallback.
+    pub(crate) fn lower(&mut self, point: u32, func: FuncId, module: &Module) {
         if !self.native_on {
             return;
         }
-        let art = art.or_else(|| lower_func(module.func(func)));
-        match self.native.install(func, art) {
+        match self.native.install(func, lower_func(module.func(func))) {
             Some(len) => self.note(EventKind::NativeInstall, point, &[], 0, len as u64, 0),
             None => self.note(EventKind::NativeFallback, point, &[], 0, 0, 0),
         }
@@ -407,7 +399,7 @@ impl<S> Dispatcher<S> {
             self.note(EventKind::GenericBuild, point, &[], 0, 0, 0);
         }
         if fresh {
-            self.lower(point, func, None, module);
+            self.lower(point, func, module);
         }
         func
     }
@@ -449,8 +441,7 @@ impl<S> Dispatcher<S> {
             // online specializer. Both emit byte-identical code.
             match site.division {
                 Some(d) => GeExecutor::run(&mut env, scratch, host, site, args, d, module, vm),
-                None => Specializer::run(&mut env, &mut scratch.emit, host, site, args, module, vm)
-                    .map(|f| (f, None)),
+                None => Specializer::run(&mut env, &mut scratch.emit, host, site, args, module, vm),
             }
         });
         // The scratch is kept for the next miss, errors included, unless
@@ -458,13 +449,11 @@ impl<S> Dispatcher<S> {
         if self.spec.heap_bytes() > SCRATCH_KEEP_BYTES {
             self.spec = SpecScratch::default();
         }
-        let (func, art) = spec?;
+        let func = spec?;
         // Install: I-cache coherence + bookkeeping.
         vm.flush_icache();
         self.charge(vm, self.costs.install);
-        // The GE path lowered during emission when the staged config asked
-        // for it; the online specializer's code is lowered here.
-        self.lower(point, func, art, module);
+        self.lower(point, func, module);
         let (spent, instrs) = (
             self.stats.dyncomp_cycles - dyn0,
             self.stats.instrs_generated - instr0,
@@ -682,7 +671,7 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
                 // winner paid in its own.
                 vm.flush_icache();
                 self.charge(vm, self.costs.install);
-                self.lower(point, func, None, module);
+                self.lower(point, func, module);
                 self.reclaim(module);
             }
             // Pass-through arguments, subset by the precomputed layout

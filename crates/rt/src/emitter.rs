@@ -18,6 +18,9 @@
 //! includes the static store: one dense [`Frame`] per specialization,
 //! loaded from each unit's interned key when the unit starts, so a unit's
 //! key *is* its store and no executor builds or moves a store of its own.
+//! It also includes the code itself: sealed units land in one instruction
+//! buffer, their branches are patched there once every unit is sealed,
+//! and the install copies the buffer out at its exact length.
 //!
 //! Cycle metering is split into [`Emitter::exec_cycles`] (generating-
 //! extension work: static computations, checks, bookkeeping) and
@@ -25,14 +28,16 @@
 //! patching) so Table 3 can attribute where staging saves time.
 
 use crate::costs::DynCosts;
+use crate::fnv::{FNV_OFFSET, FNV_PRIME};
 use crate::ge_exec::heap_bytes;
 use crate::runtime::Site;
-use crate::sink::{CodeSink, VmSink, FNV_OFFSET, FNV_PRIME};
 use crate::stats::RtStats;
 use dyc_bta::OptConfig;
 use dyc_ir::inst::{Callee, Inst};
 use dyc_ir::VReg;
-use dyc_vm::{Cc, FAluOp, FuncId, IAluOp, Instr, Module, Operand, Reg, UnOp, Value, Vm, VmError};
+use dyc_vm::{
+    Cc, CodeFunc, FAluOp, FuncId, IAluOp, Instr, Module, Operand, Reg, UnOp, Value, Vm, VmError,
+};
 use std::collections::HashMap;
 
 /// A dense bitset over machine registers — the unit-local live-register
@@ -98,11 +103,6 @@ pub(crate) struct Emitted {
     /// the instructions that survive the dead-assignment sweep, matching
     /// the convention that `emit_instr` is only paid for survivors.
     pub(crate) patches: u16,
-    /// The instruction's [`dyc_vm::instr_shape`], when the producer
-    /// pre-computed it (the fused template path carries shapes from
-    /// stage time); `0` otherwise. Forwarded to the sink so a native
-    /// backend can reuse prebuilt byte encodings.
-    pub(crate) shape: u16,
 }
 
 impl Emitted {
@@ -114,7 +114,6 @@ impl Emitted {
             fixup: None,
             templated: false,
             patches: 0,
-            shape: 0,
         }
     }
 }
@@ -258,9 +257,10 @@ impl Frame {
 }
 
 /// Every table the emitter builds while specializing: the unit interner,
-/// labels, fixups and register map of the whole specialization, and the
-/// static frame, rename table, constant registers, emit buffer,
-/// dead-assignment keep flags and live set of the unit being emitted.
+/// labels, fixups, register map and sealed code of the whole
+/// specialization, and the static frame, rename table, constant
+/// registers, emit buffer, dead-assignment keep flags and live set of the
+/// unit being emitted.
 ///
 /// The dispatch core owns one (inside its `SpecScratch`) and lends it to
 /// each miss. [`Emitter::new`] clears the specialization's tables and
@@ -274,7 +274,11 @@ pub(crate) struct EmitScratch {
     units: UnitKeys,
     /// Code offset per unit id; `u32::MAX` until the unit is sealed.
     labels: Vec<u32>,
+    /// `(code offset of a branch, unit id it targets)`, patched once
+    /// every unit is sealed.
     fixups: Vec<(usize, u32)>,
+    /// The sealed units' instructions, in seal order.
+    code: Vec<Instr>,
     /// The unit's static store.
     frame: Frame,
     /// Dense vreg → machine-register table (`NO_REG` = unassigned).
@@ -307,6 +311,7 @@ impl EmitScratch {
             + heap_bytes(&self.units.slots)
             + heap_bytes(&self.labels)
             + heap_bytes(&self.fixups)
+            + heap_bytes(&self.code)
             + heap_bytes(&self.frame.0)
             + heap_bytes(&self.reg_map)
             + heap_bytes(&self.rename)
@@ -319,8 +324,8 @@ impl EmitScratch {
     }
 }
 
-/// The shared emit-time machinery, over the [`CodeSink`] backend
-/// instructions land in and the [`EmitScratch`] it keeps its tables in.
+/// The shared emit-time machinery, over the [`EmitScratch`] it keeps its
+/// tables and its code in.
 ///
 /// Unit keys are *interned*: each reference to a unit writes its key's
 /// words into the interner's arena and hashes them once, and the unit
@@ -329,16 +334,10 @@ impl EmitScratch {
 /// are dense vectors indexed by vreg number, so after interning the emit
 /// hot path does no hash-map traffic except through the per-unit
 /// constant-register table.
-///
-/// All label/fixup resolution stays here: the sink receives sealed
-/// instructions and final branch targets only, so every backend observes
-/// the identical instruction stream (see `crate::sink`).
-pub(crate) struct Emitter<'s, S: CodeSink = VmSink> {
+pub(crate) struct Emitter<'s> {
     pub(crate) cfg: OptConfig,
     /// Per-vreg float flag (move/flush selection).
     float_vreg: &'s [bool],
-    /// The emission backend.
-    pub(crate) sink: S,
     t: &'s mut EmitScratch,
     pub(crate) next_reg: u32,
     /// Cycles spent executing the generating extension itself.
@@ -347,43 +346,19 @@ pub(crate) struct Emitter<'s, S: CodeSink = VmSink> {
     pub(crate) emit_cycles: u64,
 }
 
-impl Emitter<'_, VmSink> {
-    /// Take the finished code out of the default VM backend (the install
-    /// path of the online specializer).
-    pub(crate) fn take_code(&mut self) -> Vec<Instr> {
-        std::mem::take(&mut self.sink.code)
-    }
-
-    /// The emitted code so far (VM backend only; tests and diagnostics).
-    #[cfg(test)]
-    pub(crate) fn code(&self) -> &[Instr] {
-        &self.sink.code
-    }
-}
-
-impl Emitter<'_, crate::sink::InstallSink> {
-    /// Take the finished code — plus the native lowering, when the
-    /// backend was upgraded to a [`crate::sink::NativeSink`] — out of
-    /// the install backend.
-    pub(crate) fn take_install(&mut self) -> (Vec<Instr>, Option<crate::native::NativeArtifact>) {
-        std::mem::take(&mut self.sink).take_install()
-    }
-}
-
-impl<'s, S: CodeSink> Emitter<'s, S> {
+impl<'s> Emitter<'s> {
     /// An emitter for one specialization of a function whose vregs have
-    /// the float flags `float_vreg`, emitting into `sink` and keeping its
-    /// tables in `t`, which it clears first (the frame to one dynamic
-    /// entry per vreg).
+    /// the float flags `float_vreg`, keeping its tables and code in `t`,
+    /// which it clears first (the frame to one dynamic entry per vreg).
     pub(crate) fn new(
         cfg: OptConfig,
         float_vreg: &'s [bool],
-        sink: S,
         t: &'s mut EmitScratch,
-    ) -> Emitter<'s, S> {
+    ) -> Emitter<'s> {
         t.units.clear();
         t.labels.clear();
         t.fixups.clear();
+        t.code.clear();
         t.frame.0.clear();
         t.frame.0.resize(float_vreg.len(), None);
         t.reg_map.clear();
@@ -394,7 +369,6 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         let mut em = Emitter {
             cfg,
             float_vreg,
-            sink,
             t,
             next_reg: 0,
             exec_cycles: 0,
@@ -492,10 +466,28 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         self.exec_cycles + self.emit_cycles
     }
 
-    /// Number of instructions written to the sink so far (budget checks
-    /// and `instrs_generated` accounting).
+    /// Number of instructions sealed so far (budget checks and
+    /// `instrs_generated` accounting).
     pub(crate) fn emitted(&self) -> usize {
-        self.sink.emitted()
+        self.t.code.len()
+    }
+
+    /// The finished specialization, named `name`, taking its first
+    /// `n_params` registers as parameters. The code is moved out at its
+    /// exact length; the buffer keeps its capacity for the next
+    /// specialization.
+    pub(crate) fn take_func(&mut self, name: String, n_params: u32) -> CodeFunc {
+        let n_regs = self.next_reg.max(1) as usize;
+        let mut cf = CodeFunc::new(name, n_params as usize, n_regs);
+        cf.code.reserve_exact(self.t.code.len());
+        cf.code.append(&mut self.t.code);
+        cf
+    }
+
+    /// The code sealed so far.
+    #[cfg(test)]
+    pub(crate) fn code(&self) -> &[Instr] {
+        &self.t.code
     }
 
     /// Intern the unit whose key `push_key` appends as words, returning
@@ -750,8 +742,8 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
                 // A *static load* (§2.2.6): read live VM memory now.
                 stats.static_loads += 1;
                 self.exec_cycles += costs.static_load;
-                let addr = val(*base).as_i() + val(*idx).as_i();
-                vm.mem.read(addr, ty.vm_ty())
+                let addr = val(*base).as_i().wrapping_add(val(*idx).as_i());
+                vm.mem.read(addr, ty.vm_ty())?
             }
             Inst::Call { callee, args, .. } => {
                 // A *static call* (§2.2.6): run it now and memoize the
@@ -828,7 +820,7 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         // in vreg order.
         if let Some(d) = inst.def() {
             let dr = self.reg_of(d);
-            let stale = |e: &Emitter<'s, S>, v: VReg| v != d && e.alias(v) == Some(Opnd::R(dr));
+            let stale = |e: &Emitter<'s>, v: VReg| v != d && e.alias(v) == Some(Opnd::R(dr));
             if self.t.renamed.iter().any(|&v| stale(self, v)) {
                 self.sort_renamed();
                 let renamed = std::mem::take(&mut self.t.renamed);
@@ -997,7 +989,7 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
                         // the whole address into the offset of a load from
                         // a zero base materialized once per unit.
                         let z = self.reg_for_const(Value::I(0));
-                        (z, Operand::Imm(bv + iv))
+                        (z, Operand::Imm(bv.wrapping_add(iv)))
                     }
                     (Opnd::KI(bv), other) => {
                         let ir = self.opnd_reg(other);
@@ -1029,7 +1021,7 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
                 let (breg, iop) = match (ops[0], ops[1]) {
                     (Opnd::KI(bv), Opnd::KI(iv)) => {
                         let z = self.reg_for_const(Value::I(0));
-                        (z, Operand::Imm(bv + iv))
+                        (z, Operand::Imm(bv.wrapping_add(iv)))
                     }
                     (Opnd::KI(bv), other) => (self.opnd_reg(other), Operand::Imm(bv)),
                     (other, Opnd::KI(iv)) => (self.opnd_reg(other), Operand::Imm(iv)),
@@ -1388,16 +1380,13 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
                 e.ins.each_use(|u| t.live.insert(u));
             }
         }
-        let label = self.sink.emitted() as u32;
-        t.labels[id as usize] = label;
-        self.sink.begin_unit(id, label);
+        t.labels[id as usize] = t.code.len() as u32;
         let (mut tmpl, mut holes) = (0u64, 0u64);
         for (e, _) in t.buf.drain(..).zip(&t.keep).filter(|(_, keep)| **keep) {
             if let Some(fk) = e.fixup {
-                t.fixups.push((self.sink.emitted(), fk));
+                t.fixups.push((t.code.len(), fk));
             }
-            self.sink
-                .push_shaped(e.ins, e.templated, e.patches, e.shape);
+            t.code.push(e.ins);
             if e.templated {
                 let patch = costs.hole_patch * u64::from(e.patches);
                 self.emit_cycles += costs.template_copy + patch;
@@ -1414,15 +1403,19 @@ impl<'s, S: CodeSink> Emitter<'s, S> {
         (tmpl, holes)
     }
 
-    /// Patch every recorded branch target once all units are emitted. The
-    /// fixup keys resolve to labels here; the sink receives only final
-    /// offsets.
+    /// Patch every recorded branch target, in place, once all units are
+    /// emitted: each fixup's unit id resolves to that unit's label.
     pub(crate) fn patch_fixups(&mut self, costs: &DynCosts) {
         let t = &mut *self.t;
         for &(at, unit) in &t.fixups {
             let dest = t.labels[unit as usize];
             debug_assert!(dest != u32::MAX, "all units emitted before patching");
-            self.sink.patch_branch(at, dest);
+            match &mut t.code[at] {
+                Instr::Jmp { target } | Instr::Brz { target, .. } | Instr::Brnz { target, .. } => {
+                    *target = dest;
+                }
+                other => unreachable!("fixup on non-branch {other:?}"),
+            }
             self.emit_cycles += costs.branch_patch;
         }
         t.fixups.clear();
@@ -1528,17 +1521,17 @@ mod tests {
     use crate::stats::RtStats;
 
     fn emitter<'s>(cfg: OptConfig, float_vreg: &'s [bool], t: &'s mut EmitScratch) -> Emitter<'s> {
-        Emitter::new(cfg, float_vreg, VmSink::default(), t)
+        Emitter::new(cfg, float_vreg, t)
     }
 
     /// Intern the one-word unit key `k`.
-    fn unit<S: CodeSink>(em: &mut Emitter<'_, S>, k: u64) -> u32 {
+    fn unit(em: &mut Emitter<'_>, k: u64) -> u32 {
         em.intern_with(|w, _| w.push(k))
     }
 
     /// Emit unit `id` as `buf` with `live` live at its end, and seal it.
-    fn seal<S: CodeSink>(
-        em: &mut Emitter<'_, S>,
+    fn seal(
+        em: &mut Emitter<'_>,
         id: u32,
         buf: Vec<Emitted>,
         live: &[Reg],
@@ -1639,7 +1632,6 @@ mod tests {
         for (k, id) in keys.iter().zip(&ids) {
             assert_eq!(em.intern_with(|w, _| w.extend_from_slice(k)), *id);
         }
-        drop(em);
 
         // A new specialization over the same scratch starts from id 0.
         let mut em = emitter(OptConfig::all(), &[], &mut t);
@@ -1655,8 +1647,12 @@ mod tests {
         let mut t = EmitScratch::default();
         let floats = [false; 4];
         {
-            // Abort mid-unit with every per-unit table non-empty.
+            // Seal one unit, then abort mid-unit with every per-unit
+            // table non-empty.
             let mut em = emitter(OptConfig::all(), &floats, &mut t);
+            let sealed = unit(&mut em, 0);
+            em.push(Instr::MovI { dst: 0, imm: 2 }, false);
+            em.seal_unit(sealed, &costs, &mut stats);
             let u = unit(&mut em, 1);
             em.set_reg(VReg(0), 0);
             em.next_reg = 1;
@@ -1681,7 +1677,7 @@ mod tests {
         assert_eq!(
             em.code(),
             [Instr::MovI { dst: 3, imm: 9 }],
-            "the aborted unit's branch is gone, and r7 is no longer live"
+            "the sealed unit and the aborted unit's branch are gone, and r7 is no longer live"
         );
         assert_eq!(stats.dae_removed, 1);
         let before = em.emit_cycles;
@@ -1969,57 +1965,16 @@ mod tests {
         assert_eq!(stats.dae_removed, 0);
     }
 
-    /// Drive an identical seal/patch sequence into any backend.
-    fn drive<S: CodeSink>(em: &mut Emitter<'_, S>, stats: &mut RtStats, costs: &DynCosts) {
-        let a = unit(em, 0);
-        let b = unit(em, 1);
-        let buf_a = vec![
-            kept(Instr::MovI { dst: 0, imm: 1 }),
-            branch(Instr::Jmp { target: u32::MAX }, b),
-        ];
-        seal(em, a, buf_a, &[], costs, stats);
-        let buf_b = vec![Emitted {
-            templated: true,
-            patches: 1,
-            ..branch(
-                Instr::Brz {
-                    cond: 0,
-                    target: u32::MAX,
-                },
-                a,
-            )
-        }];
-        seal(em, b, buf_b, &[], costs, stats);
-        em.patch_fixups(costs);
-    }
-
     #[test]
-    fn emission_is_sink_agnostic() {
-        use crate::sink::{RecordingSink, SinkOp};
-        let costs = DynCosts::calibrated();
+    #[should_panic(expected = "fixup on non-branch")]
+    fn a_fixup_on_a_non_branch_panics() {
         let mut t = EmitScratch::default();
-        let mut vm = emitter(OptConfig::all(), &[], &mut t);
-        let mut stats = RtStats::default();
-        drive(&mut vm, &mut stats, &costs);
-
-        let mut t2 = EmitScratch::default();
-        let mut rec = Emitter::new(OptConfig::all(), &[], RecordingSink::default(), &mut t2);
-        let mut stats2 = RtStats::default();
-        drive(&mut rec, &mut stats2, &costs);
-
-        assert_eq!(
-            rec.sink.replay(),
-            vm.code(),
-            "every backend observes the identical instruction stream"
-        );
-        assert_eq!(
-            (vm.exec_cycles, vm.emit_cycles),
-            (rec.exec_cycles, rec.emit_cycles),
-            "cycle metering lives in the emitter, not the sink"
-        );
-        // The recording backend also sees the unit boundaries VmSink
-        // ignores: unit b starts at offset 2.
-        assert!(rec.sink.ops.contains(&SinkOp::Begin(1, 2)));
+        let mut em = emitter(OptConfig::all(), &[], &mut t);
+        let costs = DynCosts::calibrated();
+        let id = unit(&mut em, 0);
+        let buf = vec![branch(Instr::Halt, id)];
+        seal(&mut em, id, buf, &[], &costs, &mut RtStats::default());
+        em.patch_fixups(&costs);
     }
 
     #[test]

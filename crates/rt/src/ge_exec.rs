@@ -35,9 +35,7 @@
 
 use crate::costs::DynCosts;
 use crate::emitter::{mov_const, opnd_value, value_opnd, EmitScratch, Emitted, Emitter, Opnd};
-use crate::native::NativeArtifact;
 use crate::runtime::Site;
-use crate::sink::{InstallSink, NativeSink, VmSink};
 use crate::stats::{RtStats, Sinks};
 use dyc_ir::BlockId;
 use dyc_obs::EventKind;
@@ -45,7 +43,7 @@ use dyc_stage::{
     ibin_special_case, AbsAlias, EdgePlan, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
     StagedProgram, Template,
 };
-use dyc_vm::{Cc, CodeFunc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
+use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
 
 /// Specialization instruction budget: a specialization that emits more
 /// instructions than this is aborted (guards non-terminating static
@@ -136,11 +134,8 @@ pub(crate) fn spec_name(region: &str, module: &Module) -> String {
 /// the next.
 #[derive(Debug, Default)]
 pub(crate) struct SpecScratch {
-    /// The emitter's tables.
+    /// The emitter's tables and code buffer.
     pub(crate) emit: EmitScratch,
-    /// The GE executor's code buffer: the install copies the finished
-    /// code out at its exact length.
-    code: Vec<Instr>,
     /// Units waiting to be emitted.
     worklist: Vec<u32>,
     /// Division of each interned unit id.
@@ -168,7 +163,6 @@ impl SpecScratch {
             &t.stack,
         ];
         self.emit.heap_bytes()
-            + heap_bytes(&self.code)
             + heap_bytes(&self.worklist)
             + heap_bytes(&self.unit_edges)
             + u32s.iter().map(|v| heap_bytes(v)).sum::<usize>()
@@ -212,7 +206,7 @@ impl SpecScratch {
 pub struct GeExecutor<'s> {
     gef: &'s GeFunc,
     fidx: usize,
-    em: Emitter<'s, InstallSink>,
+    em: Emitter<'s>,
     worklist: &'s mut Vec<u32>,
     unit_division: &'s mut Vec<u32>,
     unit_edges: &'s mut Vec<(u32, u32)>,
@@ -236,14 +230,13 @@ impl GeExecutor<'_> {
         division: u32,
         module: &mut Module,
         vm: &mut Vm,
-    ) -> Result<(FuncId, Option<NativeArtifact>), VmError> {
+    ) -> Result<FuncId, VmError> {
         let staged = env.staged;
         let gef = staged.ge.funcs[site.func]
             .as_deref()
             .expect("site carries a division only for staged functions");
         let SpecScratch {
             emit,
-            code,
             worklist,
             unit_division,
             unit_edges,
@@ -252,21 +245,10 @@ impl GeExecutor<'_> {
         worklist.clear();
         unit_division.clear();
         unit_edges.clear();
-        code.clear();
-        // With the native backend on, each sealed instruction is also
-        // lowered to x86-64 bytes as it lands; the VM mirror stays
-        // authoritative and byte-identical either way.
-        let sink = if staged.cfg.native {
-            InstallSink::Native(NativeSink::default())
-        } else {
-            InstallSink::Vm(VmSink {
-                code: std::mem::take(code),
-            })
-        };
         let mut ex = GeExecutor {
             gef,
             fidx: site.func,
-            em: Emitter::new(staged.cfg, &gef.float_vreg, sink, emit),
+            em: Emitter::new(staged.cfg, &gef.float_vreg, emit),
             worklist: &mut *worklist,
             unit_division: &mut *unit_division,
             unit_edges: &mut *unit_edges,
@@ -298,23 +280,15 @@ impl GeExecutor<'_> {
         stats.ge_exec_cycles += ex.em.exec_cycles;
         stats.emit_cycles += ex.em.emit_cycles;
         let cycles = ex.em.total_cycles();
-        let n_regs = ex.em.next_reg.max(1) as usize;
-        let (mut buf, native) = ex.em.take_install();
+        let name = spec_name(&staged.ir.funcs[site.func].name, module);
+        let cf = ex.em.take_func(name, n_dyn);
 
         let t = tally.tally(gef, unit_division, unit_edges);
         stats.loops_unrolled += t.loops_unrolled;
         stats.multi_way_unroll |= t.multi_way;
         stats.divisions_observed += t.divisions_observed;
         env.charge(vm, cycles);
-
-        let name = spec_name(&staged.ir.funcs[site.func].name, module);
-        let mut cf = CodeFunc::new(name, n_dyn as usize, n_regs);
-        // The module gets the code at its exact length; the buffer keeps
-        // its capacity for the next miss.
-        cf.code.reserve_exact(buf.len());
-        cf.code.append(&mut buf);
-        *code = buf;
-        Ok((module.add_func(cf), native))
+        Ok(module.add_func(cf))
     }
 
     /// Intern the unit `(division, frame values of the division's
@@ -637,7 +611,6 @@ impl GeExecutor<'_> {
             fixup: None,
             templated: true,
             patches: 0,
-            shape: ti.shape,
         }));
 
         // Patch: registers through the first-touch allocator (in the same
@@ -1028,6 +1001,7 @@ fn patch_imm_f(ins: &mut Instr, k: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyc_vm::CodeFunc;
 
     #[test]
     fn spec_names_are_written_into_strings_sized_for_them() {

@@ -20,11 +20,14 @@
 //!    (`OptConfig::staged_ge = false`); both drive the shared `emitter`
 //!    and emit byte-identical code. Neither builds a static store: the
 //!    emitter keeps one dense frame per specialization, loaded from each
-//!    unit's interned key when the unit starts, so a miss allocates only
-//!    what it publishes.
+//!    unit's interned key when the unit starts, and seals every unit into
+//!    one reused instruction buffer, so a miss allocates only what it
+//!    publishes.
 //! 3. The new code is installed in the running [`dyc_vm::Module`], the
 //!    I-cache is flushed, and every cycle of the work is charged to the
-//!    dynamic-compilation counters that feed Table 3.
+//!    dynamic-compilation counters that feed Table 3. With
+//!    `OptConfig::native`, the installed function is lowered to x86-64
+//!    by [`lower_func`], the one lowering path of every install.
 //!
 //! The core is written once, generic over a code store, and instantiated
 //! twice. [`Runtime`] runs it over a [`LocalStore`]: one module and the
@@ -44,11 +47,11 @@ pub mod concurrent;
 pub mod costs;
 pub mod dispatch;
 pub(crate) mod emitter;
+pub(crate) mod fnv;
 pub mod ge_exec;
 pub mod native;
 pub mod policy;
 pub mod runtime;
-pub mod sink;
 pub mod specializer;
 pub mod stats;
 
@@ -59,9 +62,9 @@ pub use concurrent::{
 };
 pub use costs::DynCosts;
 pub use dispatch::Dispatcher;
+pub use fnv::fnv1a;
 pub use ge_exec::GeExecutor;
 pub use native::{lower_func, NativeArtifact, NativeDispatch, NativeEngine};
 pub use policy::{PolicyDecision, PolicyEngine, PolicyParams};
 pub use runtime::{LocalStore, Runtime, Site};
-pub use sink::{fnv1a, CodeSink, InstallSink, NativeSink, RecordingSink, VmSink};
 pub use stats::RtStats;

@@ -448,14 +448,7 @@ pub fn exec_entry(
             None
         }),
         STATUS_DIV0 => Err(VmError::DivideByZero),
-        STATUS_OOB => {
-            // Reproduce the interpreter's out-of-bounds behaviour
-            // exactly (debug: negative-address assertion; release: Vec
-            // index panic) by performing the same faulting read.
-            let addr = ctx.fault_addr as i64;
-            let word = env.vm.mem.read_int(addr);
-            unreachable!("native OOB status for in-bounds address {addr} (read {word})");
-        }
+        STATUS_OOB => Err(VmError::OutOfBounds(ctx.fault_addr as i64)),
         STATUS_HELPER => {
             if let Some(p) = env.panic.take() {
                 resume_unwind(p);
@@ -586,8 +579,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_bounds_load_panics_like_the_interpreter() {
+    fn out_of_bounds_load_is_an_error_like_the_interpreter() {
         let mut cf = CodeFunc::new("oob", 1, 2);
         cf.push(Instr::Load {
             ty: Ty::Int,
@@ -596,8 +588,13 @@ mod tests {
             idx: Operand::Imm(0),
         });
         cf.push(Instr::Ret { src: Some(1) });
-        // Empty guest memory: address 5 is out of bounds.
-        let _ = run(cf, &[Value::I(5)]);
+        // Empty guest memory: every address is out of bounds.
+        for addr in [5, -1] {
+            assert_eq!(
+                run(cf.clone(), &[Value::I(addr)]),
+                Err(VmError::OutOfBounds(addr))
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@
 //!   [`dyc_vm::Value::is_truthy`].
 //! * `Load`/`Store` bounds-check against the context's word count with
 //!   an unsigned compare (negative addresses become huge), matching the
-//!   interpreter's `Vec` indexing.
+//!   interpreter's checked guest accesses: both report
+//!   [`dyc_vm::VmError::OutOfBounds`] with the wrapped address.
 
 use dyc_vm::{
     instr_shape, Cc, CodeFunc, FAluOp, FuncId, HostFn, IAluOp, Instr, Operand, Reg, Ty, UnOp,
@@ -57,7 +58,7 @@ pub const STATUS_OK: i32 = 0;
 /// Integer division by zero (maps to [`dyc_vm::VmError::DivideByZero`]).
 pub const STATUS_DIV0: i32 = 1;
 /// Out-of-bounds memory access; the faulting address is in the
-/// context's `fault_addr` (the caller reproduces the VM's panic).
+/// context's `fault_addr` (maps to [`dyc_vm::VmError::OutOfBounds`]).
 pub const STATUS_OOB: i32 = 2;
 /// A helper call (host call, static call, or re-entrant dispatch)
 /// failed; the error or panic payload is stashed in the call
@@ -186,10 +187,11 @@ struct Branch {
     instr: u32,
 }
 
-/// Incremental encoder for one function. Feed it every sealed
-/// instruction in order (with the instruction's [`instr_shape`] to
-/// enable the copy-and-patch fast path), then [`FnEncoder::finish`]
-/// with the final instruction vector to resolve branch rel32s.
+/// Incremental encoder for one function. Feed it every instruction in
+/// order, then [`FnEncoder::finish`] with the final instruction vector
+/// to resolve branch rel32s. The first instruction of each
+/// [`instr_shape`] is encoded in full and its bytes kept; every later
+/// one of that shape copies them and patches its holes.
 #[derive(Debug)]
 pub struct FnEncoder {
     buf: Vec<u8>,
@@ -198,9 +200,10 @@ pub struct FnEncoder {
     branches: Vec<Branch>,
     calls: Vec<CallDesc>,
     unsupported: bool,
-    /// Prebuilt byte sequences, keyed by [`instr_shape`]. Populated on
-    /// first encounter (the canonical instance's bytes *are* the
-    /// template: every instance-dependent byte is covered by a hole).
+    /// Prebuilt byte sequences of this function, keyed by
+    /// [`instr_shape`]. Populated on first encounter (the canonical
+    /// instance's bytes *are* the template: every instance-dependent
+    /// byte is covered by a hole).
     cache: HashMap<u16, PreLowered>,
     /// Hole positions recorded while encoding a cache-miss instance.
     scratch_holes: Vec<Hole>,
@@ -255,10 +258,10 @@ impl FnEncoder {
         self.prelowered_hits
     }
 
-    /// Append one instruction. `shape` is the instruction's
-    /// [`instr_shape`] if the caller pre-computed it (template
-    /// pre-lowering), or `0` to force a plain encode.
-    pub fn emit(&mut self, ins: &Instr, shape: u16) {
+    /// Append one instruction: through the prebuilt bytes of its
+    /// [`instr_shape`] when an earlier instruction built them, else by a
+    /// full encode (which builds them, for a shape other than `0`).
+    pub fn emit(&mut self, ins: &Instr) {
         self.instr_offs.push(self.buf.len() as u32);
         if self.unsupported {
             return;
@@ -269,8 +272,8 @@ impl FnEncoder {
         for u in ins.uses() {
             self.max_reg = self.max_reg.max(u + 1);
         }
+        let shape = instr_shape(ins);
         if shape != 0 {
-            debug_assert_eq!(shape, instr_shape(ins), "stale template shape for {ins:?}");
             if let Some(pl) = self.cache.get(&shape) {
                 // Copy-and-patch fast path: memcpy the prebuilt bytes,
                 // then write each hole from this instance's fields.
@@ -834,13 +837,13 @@ fn imm_bits(ins: &Instr) -> u64 {
 }
 
 /// Lower a complete [`CodeFunc`] to a [`NativeArtifact`], or `None` if
-/// it contains an unsupported construct. Used by the online-specializer
-/// install path and warm-start restore, where code arrives as finished
-/// instruction vectors rather than through a sink.
+/// it contains an unsupported construct. Every install lowers through
+/// here: specializations, generic continuations, another thread's code
+/// and warm-started entries alike.
 pub fn lower_func(cf: &CodeFunc) -> Option<NativeArtifact> {
     let mut enc = FnEncoder::new();
     for ins in &cf.code {
-        enc.emit(ins, instr_shape(ins));
+        enc.emit(ins);
     }
     enc.finish(&cf.code)
 }
@@ -860,10 +863,11 @@ mod tests {
             .collect()
     }
 
-    /// Encode one instruction (plain path) and return its bytes.
+    /// Encode one instruction (a full encode: the first of its shape)
+    /// and return its bytes.
     fn enc1(ins: &Instr) -> Vec<u8> {
         let mut e = FnEncoder::new();
-        e.emit(ins, 0);
+        e.emit(ins);
         assert!(!e.unsupported());
         e.buf[PROLOGUE_LEN..].to_vec()
     }
@@ -1161,7 +1165,7 @@ mod tests {
         ];
         let mut e = FnEncoder::new();
         for i in &code {
-            e.emit(i, 0);
+            e.emit(i);
         }
         let art = e.finish(&code).unwrap();
         let b = &art.bytes;
@@ -1181,7 +1185,7 @@ mod tests {
         let code = vec![Instr::Brz { cond: 0, target: 2 }, Instr::Ret { src: None }];
         let mut e = FnEncoder::new();
         for i in &code {
-            e.emit(i, 0);
+            e.emit(i);
         }
         let art = e.finish(&code).unwrap();
         // The stub is the last 12 bytes: mov eax, 4; pop×3; ret.
@@ -1191,7 +1195,7 @@ mod tests {
         let bad = vec![Instr::Jmp { target: 9 }, Instr::Ret { src: None }];
         let mut e = FnEncoder::new();
         for i in &bad {
-            e.emit(i, 0);
+            e.emit(i);
         }
         assert!(e.finish(&bad).is_none());
     }
@@ -1199,7 +1203,7 @@ mod tests {
     #[test]
     fn halt_is_unsupported() {
         let mut e = FnEncoder::new();
-        e.emit(&Instr::Halt, 0);
+        e.emit(&Instr::Halt);
         assert!(e.unsupported());
         assert!(e.finish(&[Instr::Halt]).is_none());
     }
@@ -1411,9 +1415,9 @@ mod tests {
             assert_eq!(shape, instr_shape(&b), "samples must share a shape");
             let direct = enc1(&b);
             let mut e = FnEncoder::new();
-            e.emit(&a, shape); // miss: builds the prebuilt bytes
+            e.emit(&a); // miss: builds the prebuilt bytes
             let start = e.buf.len();
-            e.emit(&b, shape); // hit: memcpy + hole patch
+            e.emit(&b); // hit: memcpy + hole patch
             assert_eq!(e.prelowered_hits(), 1);
             assert_eq!(
                 &e.buf[start..],

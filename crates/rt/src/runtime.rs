@@ -10,7 +10,7 @@
 //! against, whose tables' probe counts feed the cycle model.
 
 use crate::artifact::{self, CacheBundle, CodeArtifact, WarmHost};
-use crate::cache::{CacheEntry, DoubleHashCache};
+use crate::cache::{CacheEntry, ClockKeys, DoubleHashCache, EvictCtl};
 use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane, Retired};
 use crate::ge_exec::SpecHost;
 use crate::policy::{PolicyEngine, PolicyParams};
@@ -20,7 +20,7 @@ use dyc_ir::{BlockId, VReg};
 use dyc_obs::EventKind;
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, Value, VmError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A dispatch site: a dynamic-region entry or an internal
 /// dynamic-to-static promotion point.
@@ -130,28 +130,25 @@ enum CacheState {
         slots: Box<[Option<FuncId>; 256]>,
         overflow: DoubleHashCache,
     },
-    /// Bounded `cache_all(k)`: the hashed table holds at most `cap`
-    /// specializations; the clock runs second-chance eviction over them.
-    /// Cached values carry their clock index so a hit can set the
+    /// Bounded `cache_all(k)`: the hashed table holds at most the
+    /// clock's capacity of specializations, and the clock picks which to
+    /// evict. Cached values carry their clock slot so a hit can set the
     /// reference bit without a second hash.
     Bounded {
         cache: DoubleHashCache<(FuncId, u32)>,
-        cap: usize,
-        /// Second-chance state: `(key, referenced)` per retained entry.
-        clock: Vec<(Vec<u64>, bool)>,
-        hand: usize,
+        evict: EvictCtl,
     },
 }
 
 impl CacheState {
-    fn for_policy(policy: SitePolicy) -> CacheState {
+    /// The table for a site under `policy`; a bounded site's clock may
+    /// grow `growth` times its declared bound.
+    fn for_policy(policy: SitePolicy, growth: usize) -> CacheState {
         match policy {
             SitePolicy::CacheAll => CacheState::All(DoubleHashCache::new()),
             SitePolicy::CacheAllBounded(k) => CacheState::Bounded {
                 cache: DoubleHashCache::new(),
-                cap: k.max(1) as usize,
-                clock: Vec::new(),
-                hand: 0,
+                evict: EvictCtl::new(k, growth),
             },
             SitePolicy::CacheOneUnchecked => CacheState::One(None),
             SitePolicy::CacheIndexed => CacheState::Indexed {
@@ -162,20 +159,30 @@ impl CacheState {
     }
 }
 
+/// A bounded site's clock ring, reached without locking: the store owns
+/// it exclusively.
+fn ring(clock: &mut Mutex<ClockKeys>) -> &mut ClockKeys {
+    clock.get_mut().expect("a local clock is never locked")
+}
+
 /// The site table with one cache per site — the [`SpecHost`] new
 /// internal promotion sites are registered in. Sites are shared, so a
 /// specialization reads its own site while registering new ones.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SiteTable {
     sites: Vec<Arc<Site>>,
     caches: Vec<CacheState>,
+    /// How many times its bound a bounded site's clock may grow
+    /// ([`EvictCtl::growth`]).
+    growth: usize,
 }
 
 impl SpecHost for SiteTable {
     fn add_site(&mut self, mut site: Site) -> u32 {
         let id = self.sites.len() as u32;
         site.precompute_layout();
-        self.caches.push(CacheState::for_policy(site.policy));
+        self.caches
+            .push(CacheState::for_policy(site.policy, self.growth));
         self.sites.push(Arc::new(site));
         id
     }
@@ -236,13 +243,13 @@ impl CodeStore for LocalStore {
             }
             CacheState::Indexed { overflow, .. } => hashed(overflow.lookup_or_reserve(&key[1..])),
             CacheState::All(c) => hashed(c.lookup_or_reserve(&key[1..])),
-            CacheState::Bounded { cache, clock, .. } => match cache.lookup_or_reserve(&key[1..]) {
+            CacheState::Bounded { cache, evict } => match cache.lookup_or_reserve(&key[1..]) {
                 CacheEntry::Hit {
                     value: (f, idx),
                     probes,
                 } => {
                     // Second chance: mark the entry recently used.
-                    clock[idx as usize].1 = true;
+                    evict.touch(idx);
                     (Some(f), probes, None)
                 }
                 CacheEntry::Vacant { slot, probes } => (None, probes, Some(slot)),
@@ -281,38 +288,18 @@ impl CodeStore for LocalStore {
                 None => slots[words[0] as usize] = Some(func),
             },
             CacheState::All(c) => c.fill(reserved(), words.to_vec(), func),
-            CacheState::Bounded {
-                cache,
-                cap,
-                clock,
-                hand,
-            } => {
+            CacheState::Bounded { cache, evict } => {
+                let ring = ring(&mut evict.clock);
                 if let Some(nc) = grown_cap {
-                    *cap = (*cap).max(nc);
+                    ring.grow_to(nc);
                 }
-                let (idx, evicted) = if clock.len() < *cap {
-                    clock.push((words.to_vec(), true));
-                    ((clock.len() - 1) as u32, None)
-                } else {
-                    // At capacity: sweep, clearing reference bits until an
-                    // unreferenced victim is found (bounded by one full
-                    // revolution — every bit cleared means the hand's own
-                    // slot comes up clear).
-                    let victim = loop {
-                        if clock[*hand].1 {
-                            clock[*hand].1 = false;
-                            *hand = (*hand + 1) % *cap;
-                        } else {
-                            break *hand;
-                        }
-                    };
-                    *hand = (victim + 1) % *cap;
-                    let old = std::mem::replace(&mut clock[victim], (words.to_vec(), true)).0;
+                let (idx, old) = ring.admit(&evict.bits, words);
+                let evicted = old.map(|old| {
                     if let Some((gone, _)) = cache.remove(&old) {
                         retired.push(gone);
                     }
-                    (victim as u32, Some((old, victim as u32)))
-                };
+                    (old, idx)
+                });
                 cache.fill(reserved(), words.to_vec(), (func, idx));
                 return (func, evicted);
             }
@@ -376,11 +363,11 @@ impl WarmHost for LocalWarm<'_> {
     fn install(&mut self, art: &CodeArtifact) -> Option<FuncId> {
         let key = &art.key;
         let state = &mut self.table.caches[art.site as usize];
-        if let CacheState::Bounded { cap, clock, .. } = state {
+        if let CacheState::Bounded { evict, .. } = state {
             // An over-capacity bundle (snapshotted under a larger bound,
             // say) cannot be admitted without evicting — the surplus is
             // rejected, not installed.
-            if clock.len() >= *cap {
+            if ring(&mut evict.clock).at_capacity() {
                 return None;
             }
         }
@@ -396,9 +383,9 @@ impl WarmHost for LocalWarm<'_> {
                     overflow.insert(k.to_vec(), f);
                 }
             },
-            CacheState::Bounded { cache, clock, .. } => {
-                clock.push((key.clone(), true));
-                cache.insert(key.clone(), (f, (clock.len() - 1) as u32));
+            CacheState::Bounded { cache, evict } => {
+                let (idx, _) = ring(&mut evict.clock).admit(&evict.bits, key);
+                cache.insert(key.clone(), (f, idx));
             }
         }
         Some(f)
@@ -413,12 +400,16 @@ pub type Runtime = Dispatcher<LocalStore>;
 impl Runtime {
     /// Build the run-time system for a staged program.
     pub fn new(staged: StagedProgram) -> Runtime {
-        let mut table = SiteTable::default();
+        let policy = (staged.cfg.policy == PolicyMode::Adaptive)
+            .then(|| PolicyEngine::new(PolicyParams::default()));
+        let mut table = SiteTable {
+            sites: Vec::new(),
+            caches: Vec::new(),
+            growth: EvictCtl::growth(policy.as_ref()),
+        };
         for i in 0..staged.entry_sites.len() {
             table.add_site(Site::entry(&staged, i));
         }
-        let policy = (staged.cfg.policy == PolicyMode::Adaptive)
-            .then(|| PolicyEngine::new(PolicyParams::default()));
         let store = LocalStore {
             staged,
             table,
@@ -475,13 +466,10 @@ impl Runtime {
                 **slots = [None; 256];
                 overflow.clear();
             }
-            CacheState::Bounded {
-                cache, clock, hand, ..
-            } => {
+            CacheState::Bounded { cache, evict } => {
                 cache.iter().for_each(|(_, (f, _))| retired.push_idle(f));
                 cache.clear();
-                clock.clear();
-                *hand = 0;
+                ring(&mut evict.clock).reset(&evict.bits);
             }
         }
         self.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0);
@@ -575,9 +563,7 @@ impl Runtime {
             &mut sinks,
         );
         for (site, f) in installed {
-            // Warm-started code never passed through a NativeSink;
-            // lower the restored function directly.
-            self.lower(site, f, None, module);
+            self.lower(site, f, module);
         }
     }
 }

@@ -34,7 +34,6 @@
 use crate::emitter::{mov_const, opnd_value, EmitScratch, Emitter, Frame, Opnd};
 use crate::ge_exec::{spec_name, SpecEnv, SpecHost, SPEC_BUDGET};
 use crate::runtime::Site;
-use crate::sink::VmSink;
 use dyc_bta::{inst_binding, Binding, OptConfig};
 use dyc_ir::analysis::{natural_loops, Liveness, NaturalLoop};
 use dyc_ir::inst::{Inst, Term};
@@ -110,7 +109,7 @@ impl Specializer<'_> {
             loops,
             cfg: env.staged.cfg,
             fidx: site.func,
-            em: Emitter::new(staged.cfg, &float_vreg, VmSink::default(), scratch),
+            em: Emitter::new(staged.cfg, &float_vreg, scratch),
             worklist: Vec::new(),
             unit_point: Vec::new(),
             header_units: HashMap::new(),
@@ -157,8 +156,7 @@ impl Specializer<'_> {
         env.charge(vm, cycles);
 
         let name = spec_name(&spec.f.name, module);
-        let mut cf = dyc_vm::CodeFunc::new(name, n_dyn as usize, spec.em.next_reg.max(1) as usize);
-        cf.code = spec.em.take_code();
+        let cf = spec.em.take_func(name, n_dyn);
         Ok(module.add_func(cf))
     }
 

@@ -43,14 +43,14 @@
 //! Runs of fewer than two templatable emits are left alone — a template
 //! would buy nothing over a single hole-filling emit.
 //!
-//! At run time the copied block flows through the emitter's pluggable
-//! `CodeSink` backend (`dyc-rt`'s `sink` module) like any other
-//! emission: each patched instruction is pushed with a `templated` flag
-//! and its filled-hole count, so an installing sink (`VmSink`) receives
-//! the identical byte stream the unfused path would produce, while a
-//! serializing sink (`ArtifactSink`) additionally records which
-//! instructions were template copies and where their holes were — the
-//! per-unit hole descriptors carried by persisted `CodeArtifact`s.
+//! At run time the copied block joins the unit's emit buffer like any
+//! other emission: each patched instruction carries a `templated` flag
+//! and its filled-hole count, which only the cycle meter reads, so the
+//! sealed code is the identical instruction stream the unfused path
+//! would produce. Hole patching substitutes registers and immediates but
+//! never an operand's kind, so every instance of a template instruction
+//! shares its `dyc_vm::instr_shape`, and the native encoder reuses one
+//! prebuilt byte sequence per shape within a function.
 
 use crate::ge::{GeDivision, GeFunc, GeOp};
 use dyc_bta::OptConfig;
@@ -172,14 +172,6 @@ pub struct TInstr {
     /// Candidate for dead-assignment elimination (mirrors what the
     /// unfused emitter would have marked).
     pub deletable: bool,
-    /// The instruction's [`dyc_vm::instr_shape`], pre-computed here at
-    /// static compile time. Hole patching substitutes registers and
-    /// immediates but never changes an operand's kind, so every
-    /// run-time instance of this template instruction shares the
-    /// shape — which is exactly what lets a native backend lower it by
-    /// copying prebuilt bytes and patching displacement/immediate
-    /// holes instead of re-encoding.
-    pub shape: u16,
 }
 
 /// A fused run of emits: copy `instrs`, replay `patches`, apply
@@ -314,12 +306,7 @@ struct OpPlan {
 impl OpPlan {
     fn push_ins(&mut self, ins: Instr, deletable: bool) -> u32 {
         let at = self.instrs.len() as u32;
-        let shape = dyc_vm::instr_shape(&ins);
-        self.instrs.push(TInstr {
-            ins,
-            deletable,
-            shape,
-        });
+        self.instrs.push(TInstr { ins, deletable });
         at
     }
     fn reg(&mut self, at: u32, slot: Slot, v: VReg) {

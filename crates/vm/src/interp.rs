@@ -35,6 +35,8 @@ pub enum VmError {
     Dispatch(String),
     /// `pc` ran off the end of a function (missing terminator).
     PcOutOfRange,
+    /// A guest load or store addressed a word outside data memory.
+    OutOfBounds(i64),
 }
 
 impl fmt::Display for VmError {
@@ -47,6 +49,7 @@ impl fmt::Display for VmError {
             }
             VmError::Dispatch(m) => write!(f, "dispatch failed: {m}"),
             VmError::PcOutOfRange => write!(f, "pc out of range (missing terminator)"),
+            VmError::OutOfBounds(addr) => write!(f, "memory address {addr} out of bounds"),
         }
     }
 }
@@ -420,13 +423,22 @@ impl Vm {
                 }
                 Instr::Load { ty, dst, base, idx } => {
                     cycles += cost.load;
-                    let addr = regs[*base as usize].as_i() + operand_i(regs, *idx);
-                    regs[*dst as usize] = mem.read(addr, *ty);
+                    let addr = regs[*base as usize]
+                        .as_i()
+                        .wrapping_add(operand_i(regs, *idx));
+                    match mem.read(addr, *ty) {
+                        Ok(v) => regs[*dst as usize] = v,
+                        Err(e) => break Err(e),
+                    }
                 }
                 Instr::Store { base, idx, src, .. } => {
                     cycles += cost.store;
-                    let addr = regs[*base as usize].as_i() + operand_i(regs, *idx);
-                    mem.write(addr, regs[*src as usize]);
+                    let addr = regs[*base as usize]
+                        .as_i()
+                        .wrapping_add(operand_i(regs, *idx));
+                    if let Err(e) = mem.write(addr, regs[*src as usize]) {
+                        break Err(e);
+                    }
                 }
                 Instr::Jmp { target } => {
                     cycles += cost.jmp;
@@ -1136,6 +1148,28 @@ mod tests {
         let mut vm = Vm::new(CostModel::alpha21164());
         assert_eq!(vm.call(&mut m, id, &[]), Err(VmError::DivideByZero));
         assert_eq!(vm.stats, stats(2, 1 + 40, 1, 0));
+
+        // Out-of-bounds load and store: memory is empty, and the store's
+        // address wraps below zero.
+        let cost = CostModel::alpha21164();
+        let load = Instr::Load {
+            ty: Ty::Int,
+            dst: 1,
+            base: 0,
+            idx: Operand::Imm(3),
+        };
+        let store = Instr::Store {
+            ty: Ty::Int,
+            base: 0,
+            idx: Operand::Imm(-1),
+            src: 0,
+        };
+        for (ins, addr, c) in [(load, 3, cost.load), (store, -1, cost.store)] {
+            let id = func(&mut m, "oob", vec![mov.clone(), ins]);
+            let mut vm = Vm::new(CostModel::alpha21164());
+            assert_eq!(vm.call(&mut m, id, &[]), Err(VmError::OutOfBounds(addr)));
+            assert_eq!(vm.stats, stats(2, 1 + c, 1, 0));
+        }
 
         let id = func(&mut m, "disp", vec![mov, dispatch, Instr::Halt]);
         let mut vm = Vm::new(CostModel::alpha21164());

@@ -318,9 +318,9 @@ impl Instr {
 /// fixed-layout encoding (branches are position-dependent, calls carry
 /// variable-length argument lists) and must be lowered individually.
 ///
-/// The stage-time template builder records one shape per template
-/// instruction so the native sink can instantiate prebuilt byte
-/// sequences with a hole-patch loop instead of re-encoding.
+/// The native encoder keys its prebuilt byte sequences by shape: within
+/// one function, the first instruction of a shape is encoded in full and
+/// every later one copies those bytes and patches its holes.
 pub fn instr_shape(ins: &Instr) -> u16 {
     fn ialu_idx(op: IAluOp) -> u16 {
         match op {

@@ -5,6 +5,7 @@
 //! benchmarks (like the paper's) allocate their arrays up front, so nothing
 //! fancier is needed.
 
+use crate::interp::VmError;
 use crate::value::Value;
 
 /// Word-addressed data memory with a bump allocator.
@@ -43,11 +44,12 @@ impl Mem {
         self.words.is_empty()
     }
 
-    /// Read an integer word.
+    /// Read an integer word (a harness helper; guest loads go through
+    /// [`Mem::read`]).
     ///
     /// # Panics
     ///
-    /// Panics on out-of-bounds access (the VM treats this as a guest crash).
+    /// Panics on out-of-bounds access.
     #[inline]
     pub fn read_int(&self, addr: i64) -> i64 {
         self.words[Self::index(addr)] as i64
@@ -59,13 +61,20 @@ impl Mem {
         f64::from_bits(self.words[Self::index(addr)])
     }
 
-    /// Read a word as a typed [`Value`].
+    /// Read a word as a typed [`Value`]: a guest load, so an address
+    /// outside memory is [`VmError::OutOfBounds`], not a panic. (A
+    /// negative address converts to a huge index, as in the native
+    /// backend's unsigned bounds check.)
     #[inline]
-    pub fn read(&self, addr: i64, ty: crate::isa::Ty) -> Value {
-        match ty {
-            crate::isa::Ty::Int => Value::I(self.read_int(addr)),
-            crate::isa::Ty::Float => Value::F(self.read_float(addr)),
-        }
+    pub fn read(&self, addr: i64, ty: crate::isa::Ty) -> Result<Value, VmError> {
+        let bits = *self
+            .words
+            .get(addr as usize)
+            .ok_or_else(|| out_of_bounds(addr))?;
+        Ok(match ty {
+            crate::isa::Ty::Int => Value::int_from_bits(bits),
+            crate::isa::Ty::Float => Value::float_from_bits(bits),
+        })
     }
 
     /// Write an integer word.
@@ -82,11 +91,13 @@ impl Mem {
         self.words[i] = v.to_bits();
     }
 
-    /// Write a typed [`Value`].
+    /// Write a typed [`Value`]: a guest store, so an address outside
+    /// memory is [`VmError::OutOfBounds`], not a panic.
     #[inline]
-    pub fn write(&mut self, addr: i64, v: Value) {
-        let i = Self::index(addr);
-        self.words[i] = v.to_bits();
+    pub fn write(&mut self, addr: i64, v: Value) -> Result<(), VmError> {
+        let word = self.words.get_mut(addr as usize);
+        *word.ok_or_else(|| out_of_bounds(addr))? = v.to_bits();
+        Ok(())
     }
 
     /// Bulk-fill a region with integer values (harness convenience).
@@ -120,6 +131,12 @@ impl Mem {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn out_of_bounds(addr: i64) -> VmError {
+    VmError::OutOfBounds(addr)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,8 +161,21 @@ mod tests {
         let a = m.alloc(2);
         m.write_int(a, -9);
         m.write_float(a + 1, 2.5);
-        assert_eq!(m.read(a, Ty::Int), Value::I(-9));
-        assert_eq!(m.read(a + 1, Ty::Float), Value::F(2.5));
+        assert_eq!(m.read(a, Ty::Int), Ok(Value::I(-9)));
+        assert_eq!(m.read(a + 1, Ty::Float), Ok(Value::F(2.5)));
+        assert_eq!(m.write(a + 1, Value::I(3)), Ok(()));
+        assert_eq!(m.read_int(a + 1), 3);
+    }
+
+    #[test]
+    fn guest_accesses_out_of_bounds_are_errors() {
+        let mut m = Mem::new();
+        let a = m.alloc(2);
+        for addr in [-1, 2, i64::MIN, i64::MAX] {
+            assert_eq!(m.read(addr, Ty::Int), Err(VmError::OutOfBounds(addr)));
+            assert_eq!(m.write(addr, Value::I(1)), Err(VmError::OutOfBounds(addr)));
+        }
+        assert_eq!(m.read_ints(a, 2), [0, 0], "a failed store writes nothing");
     }
 
     #[test]

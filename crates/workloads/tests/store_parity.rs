@@ -10,6 +10,7 @@
 
 use dyc::obs::{Event, ALL_KINDS};
 use dyc::{CodeFunc, Compiler, OptConfig, PolicyMode, Session, Value};
+use dyc_workloads::rng::SplitMix64;
 use dyc_workloads::{all, Workload};
 
 /// Region invocations per session.
@@ -87,5 +88,51 @@ fn local_and_shared_stores_agree_on_every_workload() {
                 "{name}: trace events per kind"
             );
         }
+    }
+}
+
+/// A `cache_all(4)` site under random reuse over nine keys: admissions
+/// sweep past recently used entries and evict. Both stores run the one
+/// second-chance clock, so after every call they hold the same keys, and
+/// they specialize and evict alike (in `Adaptive` mode the policy also
+/// grows the bound). Probe counts are the two hash tables' own: under
+/// eviction churn their tombstones differ.
+#[test]
+fn bounded_sites_evict_the_same_keys_in_both_stores() {
+    let src = "int poly(int x, int d) { make_static(x: cache_all(4)); return x * d; }";
+    let keys = |sess: &Session| {
+        let mut keys: Vec<Vec<u64>> = sess.cached_code().into_iter().map(|e| e.1).collect();
+        keys.sort();
+        keys
+    };
+    for mode in [PolicyMode::Always, PolicyMode::Adaptive] {
+        let cfg = OptConfig {
+            policy: mode,
+            ..OptConfig::all()
+        };
+        let program = Compiler::with_config(cfg).compile(src).unwrap();
+        let mut local = program.dynamic_session();
+        let shared = program.shared_runtime();
+        let mut thread = program.threaded_session(&shared);
+        let mut rng = SplitMix64::seed_from_u64(7);
+        for call in 0..300 {
+            let args = [Value::I(rng.gen_range(0..9i64)), Value::I(call)];
+            let want = local.run("poly", &args).unwrap();
+            assert_eq!(want, Some(Value::I(args[0].as_i() * call)));
+            assert_eq!(thread.run("poly", &args), Ok(want), "{mode:?}: call {call}");
+            assert_eq!(keys(&local), keys(&thread), "{mode:?}: call {call}");
+        }
+        let counts = |sess: &Session| {
+            let rt = sess.rt_stats().unwrap();
+            let policy = (rt.policy_defers, rt.policy_promotes);
+            (
+                rt.specializations,
+                rt.cache_evictions,
+                rt.dyncomp_cycles,
+                policy,
+            )
+        };
+        assert!(counts(&local).1 > 0, "{mode:?}: nothing evicted");
+        assert_eq!(counts(&local), counts(&thread), "{mode:?}");
     }
 }

@@ -12,7 +12,7 @@
 //! produced must be rejected, with every entry, never panic the loader or
 //! a later miss.
 
-use dyc::{CacheBundle, CodeFunc, Compiler, OptConfig, PolicyMode, Session, Value};
+use dyc::{CacheBundle, CodeArtifact, CodeFunc, Compiler, OptConfig, PolicyMode, Session, Value};
 use dyc_workloads::{all, Workload};
 
 /// Region invocations (enough to exercise cache hits after the miss).
@@ -275,6 +275,75 @@ fn bundle_sites_the_program_cannot_have_produced_are_rejected() {
             "{what}: threaded session"
         );
     }
+}
+
+/// `bundle` in the version 1 format: the header and every artifact say
+/// version 1, and every artifact also carries the `units`, `fixups` and
+/// `holes` tables that format wrote (one unit at offset 0, no fixups, no
+/// holes, whatever the code).
+fn version_1(bundle: &CacheBundle) -> String {
+    let text = bundle.to_json();
+    let (head, _) = text.split_once(",\"entries\":[").unwrap();
+    let head = head.replacen("\"version\":2", "\"version\":1", 1);
+    let entries: Vec<String> = (bundle.entries.iter())
+        .map(|e| {
+            let v1 = CodeArtifact {
+                version: 1,
+                ..e.clone()
+            };
+            let json = v1.to_json();
+            let body = json.strip_suffix('}').unwrap();
+            format!("{body},\"units\":[[0,0]],\"fixups\":[],\"holes\":[]}}")
+        })
+        .collect();
+    format!("{head},\"entries\":[{}]}}", entries.join(","))
+}
+
+/// A bundle written before artifacts carried code only (version 1) still
+/// parses, and its header refuses it: every entry is rejected and
+/// metered, nothing loads, and both the dynamic and the threaded session
+/// run like cold ones.
+#[test]
+fn a_version_1_bundle_is_refused_by_its_header() {
+    let program = Compiler::new().compile(PROMOTING).unwrap();
+    let calls = promoting_calls();
+    let mut reference = program.dynamic_session();
+    let want = run_calls(&mut reference, &calls);
+    let cold_specs = reference.rt_stats().unwrap().specializations;
+    let mut cold = program.dynamic_session();
+    run_calls(&mut cold, &calls[..9]);
+    let bundle = CacheBundle::parse(&cold.cache_bundle().unwrap()).unwrap();
+    assert_eq!(bundle.version, 2);
+    let n_entries = bundle.entries.len() as u64;
+    assert!(n_entries > 3, "{n_entries} entries");
+
+    let old = version_1(&bundle);
+    assert!(old.contains("\"units\":[[0,0]],\"fixups\":[],\"holes\":[]"));
+    let parsed = CacheBundle::parse(&old).expect("a version 1 bundle parses");
+    assert_eq!(parsed.version, 1);
+    assert!(parsed.entries.iter().all(|e| e.version == 1));
+    assert_eq!(parsed.entries.len(), bundle.entries.len());
+
+    let mut warm = program.warm_start_from_str(&old).unwrap();
+    let rt = warm.rt_stats().unwrap();
+    assert_eq!((rt.cache_warm_loads, rt.cache_warm_rejects), (0, n_entries));
+    assert_eq!(run_calls(&mut warm, &calls), want, "dynamic session");
+    let rt = warm.rt_stats().unwrap();
+    assert_eq!(rt.specializations, cold_specs, "dynamic session");
+
+    let shared = program.warm_shared_runtime(&old).unwrap();
+    let stats = shared.stats();
+    assert_eq!(
+        (stats.cache_warm_loads, stats.cache_warm_rejects),
+        (0, n_entries)
+    );
+    let mut thread = program.threaded_session(&shared);
+    assert_eq!(run_calls(&mut thread, &calls), want, "threaded session");
+    assert_eq!(
+        shared.stats().specializations,
+        cold_specs,
+        "threaded session"
+    );
 }
 
 /// The online specializer's internal sites pass the same checks as the

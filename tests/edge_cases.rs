@@ -3,7 +3,7 @@
 //! `make_dynamic`, and the one documented semantics deviation (the
 //! NaN/zero-propagation interaction DyC shares).
 
-use dyc::{Compiler, OptConfig, Value};
+use dyc::{Compiler, OptConfig, Session, Value, VmError};
 
 #[test]
 fn recursive_dynamic_region_specializes_per_depth() {
@@ -258,4 +258,69 @@ fn region_faults_surface_as_dispatch_errors() {
     // k = 0 faults inside the specializer (static 100 / 0).
     let err = d.run("f", &[Value::I(0), Value::I(5)]).unwrap_err();
     assert!(matches!(err, dyc::VmError::Dispatch(_)), "{err:?}");
+}
+
+#[test]
+fn out_of_bounds_guest_accesses_are_errors_in_every_session() {
+    // `buf` is the only allocation, so `buf[-1]` and `buf[n]` are outside
+    // data memory. The store's index is dynamic (a fault of the emitted
+    // code); the load's index is static, so a dynamic session performs it
+    // while specializing.
+    let src = "int f(int buf[], int n, int k, int i, int v) {
+        make_static(buf, n, k);
+        int t = buf@[k];
+        buf[i] = v + t;
+        return t + n;
+    }";
+    const N: i64 = 4;
+    let cases = [
+        (0, -1, VmError::OutOfBounds(-1)),
+        (0, N, VmError::OutOfBounds(N)),
+        (-1, 0, VmError::OutOfBounds(-1)),
+        (N, 0, VmError::OutOfBounds(N)),
+    ];
+    let check = |mut sess: Session, what: &str| {
+        let buf = sess.alloc(N as usize);
+        assert_eq!(buf, 0, "{what}: buf is the only allocation");
+        let args = |k: i64, i: i64| {
+            [
+                Value::I(buf),
+                Value::I(N),
+                Value::I(k),
+                Value::I(i),
+                Value::I(7),
+            ]
+        };
+        for (k, i, want) in &cases {
+            let got = sess.run("f", &args(*k, *i));
+            assert_eq!(got, Err(want.clone()), "{what}: k = {k}, i = {i}");
+            assert_eq!(
+                sess.mem().read_ints(buf, N as usize),
+                [0; 4],
+                "{what}: nothing written"
+            );
+        }
+        // The session still runs in-bounds calls, keys that faulted included.
+        assert_eq!(sess.run("f", &args(0, 1)), Ok(Some(Value::I(N))), "{what}");
+        assert_eq!(
+            sess.mem().read_ints(buf, N as usize),
+            [0, 7, 0, 0],
+            "{what}"
+        );
+        if let Some(rt) = sess.rt_stats() {
+            assert!(rt.static_loads > 0, "{what}: the load is static");
+        }
+    };
+    let program = Compiler::new().compile(src).unwrap();
+    check(program.static_session(), "static");
+    check(program.dynamic_session(), "dynamic");
+    let shared = program.shared_runtime();
+    check(program.threaded_session(&shared), "threaded");
+    let native = Compiler::with_config(OptConfig {
+        native: true,
+        ..OptConfig::all()
+    })
+    .compile(src)
+    .unwrap();
+    check(native.dynamic_session(), "native");
 }
