@@ -20,7 +20,6 @@
 //! * `--threads N` — serving threads (default 16)
 //! * `--seed S` — stream seed (default 42)
 //! * `--patterns a,b` — subset of `zipfian,churn,flash_crowd,stampede`
-//! * `--shards N` / `--flight-shards N` — runtime knobs (0 = auto)
 //! * `--miss-policy block|fallback` — racer behavior (default block)
 //! * `--bound K` — compile `cache_all(K)` instead of unbounded
 //! * `--curve k1,k2,...` — also replay the churn stream at each bound
@@ -43,14 +42,18 @@
 //!
 //! The sampler is observer-effect-free: a sampled replay publishes
 //! byte-identical code and balances the same meters as an unsampled
-//! one (enforced by the serving regression suite).
+//! one (enforced by the serving regression suite). The JSON's `live`
+//! summary carries the registry's final dispatch, miss, specialization
+//! and eviction counts: the same counts the pattern reports are summed
+//! from, so each equals the sum over the sampled patterns (the curve
+//! replays run unsampled).
 
 use dyc_bench::live::LiveServe;
 use dyc_bench::traffic::{
     curve_json, hit_rate_curve, replay_live, CurvePoint, Pattern, ServeConfig, ServeReport,
     StreamConfig, ALL_PATTERNS,
 };
-use dyc_obs::{SamplerConfig, WatchdogConfig};
+use dyc_obs::{Counts, EventKind, SamplerConfig, WatchdogConfig};
 use dyc_rt::{MissPolicy, SharedOptions};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -74,8 +77,6 @@ fn main() {
     let threads: usize = parse(&args, "--threads", 16);
     let seed: u64 = parse(&args, "--seed", 42);
     let opts = SharedOptions {
-        shards: parse(&args, "--shards", 0),
-        flight_shards: parse(&args, "--flight-shards", 0),
         miss_policy: match flag(&args, "--miss-policy").unwrap_or("block") {
             "block" => MissPolicy::Block,
             "fallback" => MissPolicy::Fallback,
@@ -157,7 +158,9 @@ fn main() {
     });
 
     let live_summary = live.map(|l| {
+        let registry = std::sync::Arc::clone(&l.handles.registry);
         let (windows, incidents) = l.finish();
+        let counts = registry.snapshot().counts;
         let peak = windows
             .iter()
             .map(dyc_obs::Window::throughput)
@@ -179,7 +182,7 @@ fn main() {
                 println!("    wrote {}", p.display());
             }
         }
-        (windows.len(), peak, incidents.len())
+        (windows.len(), peak, incidents.len(), counts)
     });
 
     let json = serving_json(&reports, curve.as_deref(), live_summary);
@@ -190,12 +193,13 @@ fn main() {
 }
 
 /// The `serving` JSON section: one object per pattern plus the optional
-/// hit-rate curve and live-telemetry summary (same hand-rolled style as
+/// hit-rate curve and live-telemetry summary — windows, peak throughput,
+/// incidents and the registry's final counts (same hand-rolled style as
 /// BENCH_dyncompile.json).
 fn serving_json(
     reports: &[ServeReport],
     curve: Option<&[CurvePoint]>,
-    live: Option<(usize, f64, usize)>,
+    live: Option<(usize, f64, usize, Counts)>,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -211,11 +215,16 @@ fn serving_json(
         let _ = writeln!(out, "    \"hit_rate_curve\":");
         let _ = writeln!(out, "{}{comma}", curve_json(points, 4));
     }
-    if let Some((windows, peak, incidents)) = live {
+    if let Some((windows, peak, incidents, c)) = live {
         let _ = writeln!(
             out,
             "    \"live\": {{\"windows\": {windows}, \"peak_throughput_per_s\": {peak:.1}, \
-             \"incidents\": {incidents}}}"
+             \"incidents\": {incidents}, \"dispatches\": {}, \"misses\": {}, \
+             \"specializations\": {}, \"evictions\": {}}}",
+            c.dispatches(),
+            c.get(EventKind::DispatchMiss),
+            c.get(EventKind::GeExecEnd),
+            c.get(EventKind::CacheEvict),
         );
     }
     let _ = writeln!(out, "  }}");

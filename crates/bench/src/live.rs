@@ -210,7 +210,7 @@ impl LiveServe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyc_obs::LiveMetric;
+    use dyc_obs::{EventKind, LiveSlot};
 
     #[test]
     fn server_answers_a_scrape_and_stops() {
@@ -222,9 +222,9 @@ mod tests {
             },
         )
         .unwrap();
-        let slot = live.handles.registry.register_thread();
-        slot.add(LiveMetric::Dispatches, 5);
-        slot.add(LiveMetric::Hits, 5);
+        let slot = Arc::new(LiveSlot::new());
+        live.handles.registry.register(&slot);
+        slot.add(EventKind::DispatchHit, 5);
         let addr = live.local_addr().unwrap().to_string();
         let body = http_get(&addr, "/metrics").unwrap();
         assert!(body.contains("# TYPE dyc_live_dispatches_total counter"));

@@ -7,7 +7,8 @@
 use crate::func::FuncIr;
 use crate::ids::VReg;
 use crate::inst::{Inst, Term};
-use dyc_vm::{Cc, FAluOp, IAluOp, UnOp};
+use dyc_vm::interp::{falu, fcmp, ialu, icmp};
+use dyc_vm::{FAluOp, IAluOp, UnOp};
 use std::collections::HashMap;
 
 /// A known compile-time constant.
@@ -193,7 +194,8 @@ fn fold(inst: &Inst, env: &Env) -> Option<Inst> {
             let ka = env.const_of(*a);
             let kb = env.const_of(*b);
             if let (Some(K::I(x)), Some(K::I(y))) = (ka, kb) {
-                if let Some(v) = ialu(*op, x, y) {
+                // A fault stays unfolded, for the code to raise at run time.
+                if let Ok(v) = ialu(*op, x, y) {
                     return Some(Inst::ConstI { dst: *dst, v });
                 }
             }
@@ -221,13 +223,10 @@ fn fold(inst: &Inst, env: &Env) -> Option<Inst> {
             let ka = env.const_of(*a);
             let kb = env.const_of(*b);
             if let (Some(K::F(x)), Some(K::F(y))) = (ka, kb) {
-                let v = match op {
-                    FAluOp::Add => x + y,
-                    FAluOp::Sub => x - y,
-                    FAluOp::Mul => x * y,
-                    FAluOp::Div => x / y,
-                };
-                return Some(Inst::ConstF { dst: *dst, v });
+                return Some(Inst::ConstF {
+                    dst: *dst,
+                    v: falu(*op, x, y),
+                });
             }
             // x * 1.0 and x / 1.0 are exact; other float identities are not.
             #[allow(clippy::redundant_guards)]
@@ -281,53 +280,6 @@ fn fold(inst: &Inst, env: &Env) -> Option<Inst> {
             })
         }
         _ => None,
-    }
-}
-
-fn ialu(op: IAluOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        IAluOp::Add => a.wrapping_add(b),
-        IAluOp::Sub => a.wrapping_sub(b),
-        IAluOp::Mul => a.wrapping_mul(b),
-        IAluOp::Div => {
-            if b == 0 {
-                return None; // keep the fault at run time
-            }
-            a.wrapping_div(b)
-        }
-        IAluOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        IAluOp::And => a & b,
-        IAluOp::Or => a | b,
-        IAluOp::Xor => a ^ b,
-        IAluOp::Shl => a.wrapping_shl(b as u32 & 63),
-        IAluOp::Shr => a.wrapping_shr(b as u32 & 63),
-    })
-}
-
-fn icmp(cc: Cc, a: i64, b: i64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
-    }
-}
-
-fn fcmp(cc: Cc, a: f64, b: f64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
     }
 }
 

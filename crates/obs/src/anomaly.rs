@@ -26,7 +26,7 @@
 //! exactly one incident, not one per window.
 
 use crate::sampler::Window;
-use crate::LiveMetric;
+use crate::EventKind;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
@@ -205,7 +205,7 @@ impl Watchdog {
     /// window (empty for clean or already-latched regimes).
     pub fn observe(&mut self, w: &Window) -> Vec<Anomaly> {
         let cfg = self.cfg;
-        let dispatches = w.get(LiveMetric::Dispatches);
+        let dispatches = w.counts.dispatches();
         let mut fired = Vec::new();
         let mut judge = |states: &mut [RuleState],
                          kind: AnomalyKind,
@@ -227,7 +227,7 @@ impl Watchdog {
         };
 
         // Eviction storm.
-        let evictions = w.get(LiveMetric::Evictions);
+        let evictions = w.counts.get(EventKind::CacheEvict);
         let evict_ratio = if dispatches == 0 {
             0.0
         } else {
@@ -243,7 +243,7 @@ impl Watchdog {
         );
 
         // Flight convoy.
-        let waits = w.get(LiveMetric::FlightWaits);
+        let waits = w.counts.get(EventKind::FlightWait);
         let wait_ratio = if dispatches == 0 {
             0.0
         } else {
@@ -285,7 +285,7 @@ impl Watchdog {
         );
 
         // Specialization-latency spike: window p99 vs recent median.
-        let misses = w.get(LiveMetric::Misses);
+        let misses = w.counts.get(EventKind::DispatchMiss);
         let p99 = w.miss_ns.percentile(99.0);
         let thick = misses >= cfg.spike_min_misses;
         let mut spike = false;
@@ -322,8 +322,9 @@ impl Watchdog {
 mod tests {
     use super::*;
     use crate::hist::LatencyHistogram;
-    use crate::live::N_LIVE_METRICS;
+    use crate::live::Counts;
     use crate::sampler::SiteWindow;
+    use EventKind as K;
 
     /// A synthetic window: only the fields a rule reads are populated.
     fn window(index: u64, fill: impl Fn(&mut Window)) -> Window {
@@ -331,7 +332,7 @@ mod tests {
             index,
             t0_ns: index * 1_000,
             t1_ns: (index + 1) * 1_000,
-            counters: [0; N_LIVE_METRICS],
+            counts: Counts::default(),
             miss_ns: LatencyHistogram::new(),
             sites: Vec::new(),
         };
@@ -339,8 +340,8 @@ mod tests {
         w
     }
 
-    fn set(w: &mut Window, m: LiveMetric, v: u64) {
-        w.counters[m as usize] = v;
+    fn set(w: &mut Window, kind: EventKind, v: u64) {
+        w.counts.0[kind as usize] = v;
     }
 
     #[test]
@@ -352,14 +353,14 @@ mod tests {
         });
         let stormy = |i| {
             window(i, |w| {
-                set(w, LiveMetric::Dispatches, 1_000);
-                set(w, LiveMetric::Evictions, 600);
+                set(w, K::DispatchHit, 1_000);
+                set(w, K::CacheEvict, 600);
             })
         };
         let calm = |i| {
             window(i, |w| {
-                set(w, LiveMetric::Dispatches, 1_000);
-                set(w, LiveMetric::Evictions, 1);
+                set(w, K::DispatchHit, 1_000);
+                set(w, K::CacheEvict, 1);
             })
         };
         // One offending window: not yet (trigger_after = 2).
@@ -393,8 +394,8 @@ mod tests {
         });
         // 50% share but only 8 evictions: under evict_min, no fire.
         let w = window(0, |w| {
-            set(w, LiveMetric::Dispatches, 16);
-            set(w, LiveMetric::Evictions, 8);
+            set(w, K::DispatchHit, 16);
+            set(w, K::CacheEvict, 8);
         });
         assert!(wd.observe(&w).is_empty());
     }
@@ -406,8 +407,8 @@ mod tests {
             ..WatchdogConfig::default()
         });
         let w = window(0, |w| {
-            set(w, LiveMetric::Dispatches, 1_000);
-            set(w, LiveMetric::FlightWaits, 700);
+            set(w, K::DispatchHit, 1_000);
+            set(w, K::FlightWait, 700);
         });
         let fired = wd.observe(&w);
         assert_eq!(fired.len(), 1);
@@ -474,8 +475,8 @@ mod tests {
         });
         let with_p99 = |i: u64, misses: u64, lat: u64| {
             window(i, |w| {
-                set(w, LiveMetric::Dispatches, misses * 2);
-                set(w, LiveMetric::Misses, misses);
+                set(w, K::DispatchHit, misses);
+                set(w, K::DispatchMiss, misses);
                 for _ in 0..misses {
                     w.miss_ns.record(lat);
                 }
@@ -502,8 +503,8 @@ mod tests {
             ..WatchdogConfig::default()
         });
         let w = window(0, |w| {
-            set(w, LiveMetric::Dispatches, 100);
-            set(w, LiveMetric::Evictions, 100);
+            set(w, K::DispatchHit, 100);
+            set(w, K::CacheEvict, 100);
         });
         assert!(wd.observe(&w).is_empty());
     }

@@ -158,6 +158,25 @@ impl EventKind {
         }
     }
 
+    /// True for the kinds the flight recorder rings: the miss path's
+    /// events. Hits, template copies and hole patches (per-dispatch or
+    /// per-unit volume), and invalidations, internal promotions and
+    /// warm-start loads and rejects are only counted.
+    pub fn ringed(self) -> bool {
+        !matches!(
+            self,
+            EventKind::DispatchHit
+                | EventKind::DispatchUnchecked
+                | EventKind::DispatchIndexed
+                | EventKind::TemplateCopy
+                | EventKind::HolePatch
+                | EventKind::CacheInvalidate
+                | EventKind::Promotion
+                | EventKind::CacheWarmLoad
+                | EventKind::CacheWarmReject
+        )
+    }
+
     /// The kind's [`Category`].
     pub fn category(self) -> Category {
         match self {
@@ -216,8 +235,13 @@ pub struct Event {
     pub b: u64,
 }
 
-/// Every kind, in declaration order (test and exporter support).
-pub const ALL_KINDS: [EventKind; 23] = [
+/// Number of event kinds: the length of every per-kind array.
+pub const N_KINDS: usize = 23;
+
+/// Every kind, in declaration order, so `ALL_KINDS[kind as usize] ==
+/// kind`: per-kind arrays (a live slot's counts, a ring slot's kind word)
+/// are indexed by `kind as usize`.
+pub const ALL_KINDS: [EventKind; N_KINDS] = [
     EventKind::DispatchHit,
     EventKind::DispatchMiss,
     EventKind::DispatchUnchecked,
@@ -254,6 +278,50 @@ mod tests {
         names.dedup();
         // Every kind is named once, except that begin/end share "ge-exec".
         assert_eq!(names.len(), ALL_KINDS.len() - 1);
+    }
+
+    #[test]
+    fn every_kind_indexes_its_own_slot() {
+        for (i, k) in ALL_KINDS.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?} out of declaration order");
+        }
+        assert_eq!(ALL_KINDS.len(), N_KINDS);
+    }
+
+    #[test]
+    fn the_flight_ring_takes_the_miss_path_kinds() {
+        use EventKind as K;
+        // Kind by kind, what the flight recorder rang before the meter
+        // table became a predicate: 14 kinds on, 9 off.
+        let ringed = [
+            (K::DispatchHit, false),
+            (K::DispatchMiss, true),
+            (K::DispatchUnchecked, false),
+            (K::DispatchIndexed, false),
+            (K::FlightWait, true),
+            (K::FlightFallback, true),
+            (K::GeExecBegin, true),
+            (K::GeExecEnd, true),
+            (K::TemplateCopy, false),
+            (K::HolePatch, false),
+            (K::CacheEvict, true),
+            (K::CacheInvalidate, false),
+            (K::Promotion, false),
+            (K::CacheWarmLoad, false),
+            (K::NativeInstall, true),
+            (K::NativeFallback, true),
+            (K::PolicyDefer, true),
+            (K::PolicyPromote, true),
+            (K::PolicyThrottle, true),
+            (K::FlightRace, true),
+            (K::GenericBuild, true),
+            (K::CacheWarmReject, false),
+            (K::FlightStale, true),
+        ];
+        assert_eq!(ringed.len(), N_KINDS);
+        for (k, on) in ringed {
+            assert_eq!(k.ringed(), on, "{k:?}");
+        }
     }
 
     #[test]

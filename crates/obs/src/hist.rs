@@ -1,7 +1,7 @@
 //! A fixed-footprint log-linear latency histogram.
 //!
 //! The serving harness needs miss-path tail latency (p50/p95/p99) over
-//! runs of 10⁶–10⁸ dispatches. The event ring ([`crate::Recorder`]) holds
+//! runs of 10⁶–10⁸ dispatches. The event ring ([`crate::EventRing`]) holds
 //! only the newest window of a run, so percentiles computed from events
 //! alone silently degrade to "the last few seconds". This histogram is
 //! the complement: every sample lands in one of a fixed set of buckets —

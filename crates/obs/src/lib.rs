@@ -12,9 +12,11 @@
 //!   GE-exec begin/end, template copy + hole patch, cache
 //!   eviction/invalidation, internal promotion. Each is tagged with
 //!   (site, key hash, thread, wall nanos, model-cycle stamp).
-//! * [`Recorder`]/[`Trace`] — a per-thread fixed-capacity ring buffer.
-//!   No locks, no heap allocation on the record path, and a no-op (one
-//!   branch on a `None`) when tracing is off.
+//! * [`EventRing`]/[`Trace`] — a fixed-capacity event ring with one
+//!   writer, readable from other threads while it records: the
+//!   per-thread trace (a no-op, one branch on a `None`, when off) and
+//!   the flight recorder's rings. No locks and no heap allocation on the
+//!   record path.
 //! * [`SiteProfile`]/[`site_profiles`] — the aggregation pass: per-site
 //!   specializations, cached variants, cumulative dyncomp/dispatch
 //!   cycles, probe rates, and the §4.2 break-even estimate
@@ -28,12 +30,15 @@
 //!   metadata embedded to rebuild the profiles from the file alone.
 //! * [`render_metrics`] — Prometheus-style text exposition of any set
 //!   of named meters.
-//! * [`LiveRegistry`]/[`Sampler`]/[`Watchdog`] — the live-telemetry
-//!   layer: per-thread sharded atomic counters and histograms that can
-//!   be snapshotted while workers keep dispatching, a sampler thread
-//!   folding snapshots into a bounded ring of windowed deltas, and an
-//!   anomaly watchdog that dumps the flight recorder (every thread's
-//!   event-ring tail) as a Chrome trace + JSON incident on trigger.
+//! * [`LiveSlot`]/[`LiveRegistry`]/[`Sampler`]/[`Watchdog`] — the
+//!   live-telemetry layer: each runtime thread's per-kind event
+//!   [`Counts`] (one relaxed atomic per [`EventKind`], the counts the
+//!   runtime's own meters are summed from) and miss-latency histogram,
+//!   a registry that snapshots them while workers keep dispatching, a
+//!   sampler thread folding snapshots into a bounded ring of windowed
+//!   deltas, and an anomaly watchdog that dumps the flight recorder
+//!   (every thread's event-ring tail) as a Chrome trace + JSON incident
+//!   on trigger.
 //!
 //! The crate is dependency-free in both directions (it depends on
 //! nothing and knows nothing about the runtime), so `dyc-rt` can record
@@ -55,17 +60,16 @@ pub mod sampler;
 
 pub use anomaly::{Anomaly, AnomalyKind, Watchdog, WatchdogConfig, ALL_ANOMALIES};
 pub use chrome::{chrome_trace, parse_chrome_trace, ChromeTrace};
-pub use event::ALL_KINDS;
-pub use event::{Category, Event, EventKind};
+pub use event::{Category, Event, EventKind, ALL_KINDS, N_KINDS};
 pub use hist::LatencyHistogram;
 pub use json::Json;
 pub use live::{
-    AtomicHistogram, FlightRecorder, FlightRing, LiveHandles, LiveMetric, LiveRegistry, LiveSlot,
-    LiveSnapshot, LiveThread, SiteCost, LIVE_METRICS, N_LIVE_METRICS,
+    AtomicHistogram, Counts, FlightRecorder, LiveHandles, LiveRegistry, LiveSlot, LiveSnapshot,
+    LiveThread, SiteCost,
 };
 pub use profile::{contention, miss_latency, site_profiles, SiteProfile, ThreadLoad};
 pub use prom::{render_metrics, Metric, MetricKind};
-pub use recorder::{merge, Recorder, Trace, DEFAULT_CAPACITY};
+pub use recorder::{merge, EventRing, Trace, DEFAULT_CAPACITY};
 pub use sampler::{IncidentRecord, Sampler, SamplerConfig, SamplerView, SiteWindow, Window};
 
 use std::sync::OnceLock;

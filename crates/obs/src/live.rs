@@ -1,26 +1,30 @@
-//! Live telemetry: snapshot-while-running counters, an atomic mirror of
-//! the latency histogram, and the cross-thread-readable flight-recorder
-//! rings.
+//! Live telemetry: per-kind event counts readable while workers run, an
+//! atomic mirror of the latency histogram, and the flight recorder's
+//! cross-thread-readable event rings.
 //!
-//! The event ring ([`crate::Recorder`]) and the runtime's meters are
-//! harvested *after* a run; a long-running server is a black box while
-//! it serves. This module is the live complement: every serving thread
-//! registers one cache-line-aligned [`LiveSlot`] of relaxed atomics in
-//! a shared [`LiveRegistry`], and any other thread can take a coherent
-//! [`LiveSnapshot`] at any time without stopping the workers.
+//! A trace ring ([`crate::Trace`]) is harvested *after* a run; a
+//! long-running server is a black box while it serves. This module is
+//! the live complement. Every thread of a shared runtime owns one
+//! cache-line-aligned [`LiveSlot`]: one relaxed atomic per
+//! [`EventKind`], bumped at every meter point. The runtime sums its
+//! threads' slots for its own meters; a [`LiveRegistry`] holds the same
+//! slots (possibly of several runtimes), so any other thread can take a
+//! coherent [`LiveSnapshot`] at any time without stopping the workers.
 //!
 //! # Observer-effect-free obligations
 //!
 //! The live layer must never change what the runtime computes, which
 //! code it emits, or which meters it charges:
 //!
-//! * Recording is relaxed `fetch_add` into preallocated padded slots —
-//!   no locks, no allocation, no shared cache line between threads on
-//!   the warm path. With no registry attached, every hook is a branch
-//!   on a `None`.
-//! * The registry is parallel to `RtStats`/`ConcStats`, never a
-//!   replacement: the runtime's own meters are untouched, so the
-//!   meter-balance identities hold bit-for-bit with or without
+//! * Counting is a relaxed `fetch_add` into the thread's own padded
+//!   slot — no locks, no allocation, no cache line shared between
+//!   threads on the warm path — and happens whether or not a registry
+//!   is attached. Attaching one only registers the slots and adds the
+//!   per-site cost table and the flight ring; with none attached, those
+//!   hooks are a branch on a `None`.
+//! * The registry reads the counts the runtime keeps, never a copy of
+//!   them: a sampled and an unsampled run write the same counters, so
+//!   the meter-balance identities hold bit-for-bit with or without
 //!   sampling (enforced by the serving regression suite).
 //! * Snapshots read counters the workers keep writing. Per-counter
 //!   values are exact at some instant; *cross*-counter identities (for
@@ -28,78 +32,48 @@
 //!   of dispatches in flight during the read — statistically coherent,
 //!   never torn. Final snapshots taken after workers quiesce are exact.
 
-use crate::event::{Event, EventKind, ALL_KINDS};
+use crate::event::{Event, EventKind, N_KINDS};
 use crate::hist::{bucket_index, LatencyHistogram, BUCKET_COUNT};
 use crate::now_ns;
+use crate::recorder::EventRing;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Number of live counters in a [`LiveSlot`].
-pub const N_LIVE_METRICS: usize = 11;
+/// Per-kind event counts, indexed by `kind as usize`: a [`LiveSlot`]'s
+/// values, summed over slots or differenced between two snapshots.
+/// Every live counter is one kind's count, except dispatches and hits,
+/// which sum the dispatch kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Counts(pub [u64; N_KINDS]);
 
-/// The live counters every serving thread maintains. These mirror (a
-/// subset of) the runtime's meters so windowed rates can be computed
-/// without draining any ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum LiveMetric {
-    /// Dispatches through any site (hits + misses).
-    Dispatches,
-    /// Dispatches served from the shared code cache.
-    Hits,
-    /// Dispatches that entered the miss path.
-    Misses,
-    /// Specializations published (single-flight winners).
-    Specializations,
-    /// Bounded-cache (`cache_all(k)`) evictions.
-    Evictions,
-    /// Single-flight waits behind another thread's specialization.
-    FlightWaits,
-    /// Single-flight generic-continuation fallbacks.
-    FlightFallbacks,
-    /// Misses that found the key already published when they reached
-    /// the flight table (lost races).
-    FlightRaces,
-    /// Adaptive-policy deferrals to the generic continuation.
-    PolicyDefers,
-    /// Adaptive-policy promotions past the break-even threshold.
-    PolicyPromotes,
-    /// Adaptive-policy throttled internal-promotion misses.
-    PolicyThrottles,
-}
+impl Counts {
+    /// One kind's count.
+    pub fn get(&self, kind: EventKind) -> u64 {
+        self.0[kind as usize]
+    }
 
-/// Every live metric, in [`LiveSlot`] index order.
-pub const LIVE_METRICS: [LiveMetric; N_LIVE_METRICS] = [
-    LiveMetric::Dispatches,
-    LiveMetric::Hits,
-    LiveMetric::Misses,
-    LiveMetric::Specializations,
-    LiveMetric::Evictions,
-    LiveMetric::FlightWaits,
-    LiveMetric::FlightFallbacks,
-    LiveMetric::FlightRaces,
-    LiveMetric::PolicyDefers,
-    LiveMetric::PolicyPromotes,
-    LiveMetric::PolicyThrottles,
-];
+    /// Dispatches served from cached code: the three hit kinds.
+    pub fn hits(&self) -> u64 {
+        use EventKind as K;
+        self.get(K::DispatchHit) + self.get(K::DispatchUnchecked) + self.get(K::DispatchIndexed)
+    }
 
-impl LiveMetric {
-    /// The metric's stable `snake_case` name (the Prometheus family is
-    /// `dyc_live_<name>_total`).
-    pub fn name(self) -> &'static str {
-        match self {
-            LiveMetric::Dispatches => "dispatches",
-            LiveMetric::Hits => "hits",
-            LiveMetric::Misses => "misses",
-            LiveMetric::Specializations => "specializations",
-            LiveMetric::Evictions => "evictions",
-            LiveMetric::FlightWaits => "flight_waits",
-            LiveMetric::FlightFallbacks => "flight_fallbacks",
-            LiveMetric::FlightRaces => "flight_races",
-            LiveMetric::PolicyDefers => "policy_defers",
-            LiveMetric::PolicyPromotes => "policy_promotes",
-            LiveMetric::PolicyThrottles => "policy_throttles",
+    /// Dispatches: the hits plus [`EventKind::DispatchMiss`] (every
+    /// dispatch notes exactly one of the four dispatch kinds).
+    pub fn dispatches(&self) -> u64 {
+        self.hits() + self.get(EventKind::DispatchMiss)
+    }
+
+    /// Add `other`'s counts, kind by kind.
+    pub fn merge(&mut self, other: &Counts) {
+        for (c, o) in self.0.iter_mut().zip(other.0) {
+            *c += o;
         }
+    }
+
+    /// `self - prev`, kind by kind (saturating).
+    pub fn diff(&self, prev: &Counts) -> Counts {
+        Counts(std::array::from_fn(|i| self.0[i].saturating_sub(prev.0[i])))
     }
 }
 
@@ -157,14 +131,15 @@ impl AtomicHistogram {
     }
 }
 
-/// One thread's private live counters. Each slot is its own `Arc`
-/// allocation and is aligned to 128 bytes, so no two threads' warm-path
-/// counters ever share a cache line (no false sharing between workers;
-/// the sampler's reads are the only cross-thread traffic).
+/// One thread's event counts: a relaxed atomic per [`EventKind`],
+/// indexed by `kind as usize`, plus the miss-path latency histogram.
+/// Each slot is its own `Arc` allocation aligned to 128 bytes, so no two
+/// threads' warm-path counters ever share a cache line (the sampler's
+/// reads are the only cross-thread traffic).
 #[derive(Debug)]
 #[repr(align(128))]
 pub struct LiveSlot {
-    counters: [AtomicU64; N_LIVE_METRICS],
+    counts: [AtomicU64; N_KINDS],
     miss_ns: AtomicHistogram,
 }
 
@@ -178,15 +153,15 @@ impl LiveSlot {
     /// A zeroed slot.
     pub fn new() -> LiveSlot {
         LiveSlot {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             miss_ns: AtomicHistogram::new(),
         }
     }
 
-    /// Add `n` to a counter (relaxed, allocation-free).
+    /// Add `n` to `kind`'s count (relaxed, allocation-free).
     #[inline]
-    pub fn add(&self, m: LiveMetric, n: u64) {
-        self.counters[m as usize].fetch_add(n, Ordering::Relaxed);
+    pub fn add(&self, kind: EventKind, n: u64) {
+        self.counts[kind as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record one miss-path wall-clock sample.
@@ -195,9 +170,11 @@ impl LiveSlot {
         self.miss_ns.record(ns);
     }
 
-    /// Current value of one counter.
-    pub fn get(&self, m: LiveMetric) -> u64 {
-        self.counters[m as usize].load(Ordering::Relaxed)
+    /// Current counts of every kind.
+    pub fn counts(&self) -> Counts {
+        Counts(std::array::from_fn(|i| {
+            self.counts[i].load(Ordering::Relaxed)
+        }))
     }
 }
 
@@ -235,8 +212,8 @@ impl SiteCost {
 }
 
 /// The shared registry of per-thread [`LiveSlot`]s and per-site
-/// specialization costs. Worker threads register once (cold) and then
-/// only touch their own slot; the sampler reads everything.
+/// specialization costs. Worker threads register their slot once (cold)
+/// and then only touch it; the sampler reads everything.
 #[derive(Debug, Default)]
 pub struct LiveRegistry {
     slots: RwLock<Vec<Arc<LiveSlot>>>,
@@ -249,12 +226,13 @@ impl LiveRegistry {
         LiveRegistry::default()
     }
 
-    /// Register one worker thread: allocates its padded slot (cold
-    /// path; the returned `Arc` is the thread's private handle).
-    pub fn register_thread(&self) -> Arc<LiveSlot> {
-        let slot = Arc::new(LiveSlot::new());
-        self.slots.write().unwrap().push(Arc::clone(&slot));
-        slot
+    /// Register one worker thread's slot (cold path). The registry
+    /// reads it; the thread keeps writing it.
+    pub fn register(&self, slot: &Arc<LiveSlot>) {
+        self.slots
+            .write()
+            .expect("slot list poisoned")
+            .push(Arc::clone(slot));
     }
 
     /// Charge one specialization's dynamic-compilation cycles to a
@@ -277,22 +255,15 @@ impl LiveRegistry {
         sites[idx].spec_cycles.fetch_add(cycles, Ordering::Relaxed);
     }
 
-    /// Threads registered so far.
-    pub fn n_threads(&self) -> usize {
-        self.slots.read().unwrap().len()
-    }
-
     /// A coherent point-in-time view while workers keep dispatching:
     /// counters summed across slots, the miss-path histogram merged,
     /// per-site specialization costs copied.
     pub fn snapshot(&self) -> LiveSnapshot {
         let slots = self.slots.read().unwrap();
-        let mut counters = [0u64; N_LIVE_METRICS];
+        let mut counts = Counts::default();
         let mut miss_ns = LatencyHistogram::new();
         for slot in slots.iter() {
-            for (i, c) in counters.iter_mut().enumerate() {
-                *c += slot.counters[i].load(Ordering::Relaxed);
-            }
+            counts.merge(&slot.counts());
             miss_ns.merge(&slot.miss_ns.snapshot());
         }
         let threads = slots.len();
@@ -314,7 +285,7 @@ impl LiveRegistry {
             .collect();
         LiveSnapshot {
             t_ns: now_ns(),
-            counters,
+            counts,
             miss_ns,
             sites,
             threads,
@@ -327,8 +298,8 @@ impl LiveRegistry {
 pub struct LiveSnapshot {
     /// When the snapshot was taken ([`crate::now_ns`]).
     pub t_ns: u64,
-    /// Cumulative counter values, indexed by [`LiveMetric`].
-    pub counters: [u64; N_LIVE_METRICS],
+    /// Cumulative counts, summed over the registered slots.
+    pub counts: Counts,
     /// Cumulative miss-path latency histogram.
     pub miss_ns: LatencyHistogram,
     /// Per-site specialization costs (sites with at least one spec).
@@ -337,118 +308,15 @@ pub struct LiveSnapshot {
     pub threads: usize,
 }
 
-impl LiveSnapshot {
-    /// One counter's value.
-    pub fn get(&self, m: LiveMetric) -> u64 {
-        self.counters[m as usize]
-    }
-}
-
-/// Words one flight-ring slot occupies (one encoded [`Event`]).
-const EVENT_WORDS: usize = 8;
-
-/// A cross-thread-readable event ring: the flight recorder's per-thread
-/// buffer. Unlike [`crate::Recorder`] (which is `&mut`-owned by its
-/// thread and unreadable until the run ends), this ring is written with
-/// relaxed atomic stores and a `Release` head bump, so the watchdog can
-/// capture its tail mid-run.
-///
-/// Single writer per ring (its owning thread); any number of readers.
-/// A reader racing the writer may observe a slot mid-overwrite (torn
-/// between two events); such slots are detected by an out-of-range
-/// kind index or skipped as a benign mixed payload — the capture is a
-/// diagnostic tail, not an exact log, and tearing affects at most the
-/// oldest slot of a full ring.
-#[derive(Debug)]
-pub struct FlightRing {
-    slots: Box<[AtomicU64]>,
-    head: AtomicU64,
-    cap: usize,
-    thread: u32,
-}
-
-fn kind_code(kind: EventKind) -> u64 {
-    // O(|ALL_KINDS|) scan — miss-path-only, never on the warm path.
-    ALL_KINDS.iter().position(|&k| k == kind).unwrap_or(0) as u64
-}
-
-impl FlightRing {
-    fn new(cap: usize, thread: u32) -> FlightRing {
-        let cap = cap.max(16);
-        FlightRing {
-            slots: (0..cap * EVENT_WORDS).map(|_| AtomicU64::new(0)).collect(),
-            head: AtomicU64::new(0),
-            cap,
-            thread,
-        }
-    }
-
-    /// Record one event: eight relaxed stores plus a `Release` head
-    /// bump. Allocation-free; overwrites the oldest slot when full.
-    #[inline]
-    pub fn record(&self, kind: EventKind, site: u32, key: u64, cycle: u64, a: u64, b: u64) {
-        let h = self.head.load(Ordering::Relaxed);
-        let base = (h as usize % self.cap) * EVENT_WORDS;
-        let s = &self.slots;
-        s[base].store(kind_code(kind), Ordering::Relaxed);
-        s[base + 1].store(u64::from(site), Ordering::Relaxed);
-        s[base + 2].store(key, Ordering::Relaxed);
-        s[base + 3].store(h, Ordering::Relaxed);
-        s[base + 4].store(now_ns(), Ordering::Relaxed);
-        s[base + 5].store(cycle, Ordering::Relaxed);
-        s[base + 6].store(a, Ordering::Relaxed);
-        s[base + 7].store(b, Ordering::Relaxed);
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// The resident tail, oldest first. Slots whose kind word is out of
-    /// range (a torn read racing the writer) are skipped.
-    pub fn tail(&self) -> Vec<Event> {
-        let h = self.head.load(Ordering::Acquire);
-        let n = (h as usize).min(self.cap);
-        let mut out = Vec::with_capacity(n);
-        for i in (h - n as u64)..h {
-            let base = (i as usize % self.cap) * EVENT_WORDS;
-            let s = &self.slots;
-            let code = s[base].load(Ordering::Relaxed) as usize;
-            let Some(&kind) = ALL_KINDS.get(code) else {
-                continue;
-            };
-            out.push(Event {
-                kind,
-                site: s[base + 1].load(Ordering::Relaxed) as u32,
-                thread: self.thread,
-                key: s[base + 2].load(Ordering::Relaxed),
-                seq: s[base + 3].load(Ordering::Relaxed),
-                t_ns: s[base + 4].load(Ordering::Relaxed),
-                cycle: s[base + 5].load(Ordering::Relaxed),
-                a: s[base + 6].load(Ordering::Relaxed),
-                b: s[base + 7].load(Ordering::Relaxed),
-            });
-        }
-        out
-    }
-
-    /// Events ever recorded into this ring.
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-/// The flight recorder: one [`FlightRing`] per registered thread,
+/// The flight recorder: one [`EventRing`] per registered thread,
 /// capturable as a merged timeline at any moment. Only *miss-path*
-/// events are ringed (dispatch misses, flight waits/fallbacks, GE-exec
-/// spans, evictions, policy decisions, native installs) — hits are
-/// metered in [`LiveSlot`] counters, so the warm path never touches
-/// the ring.
+/// events are ringed ([`EventKind::ringed`]: dispatch misses, flight
+/// waits/fallbacks, GE-exec spans, evictions, policy decisions, native
+/// installs) — hits are only counted in the thread's [`LiveSlot`], so
+/// the warm path never touches the ring.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    rings: RwLock<Vec<Arc<FlightRing>>>,
+    rings: RwLock<Vec<Arc<EventRing>>>,
     cap: usize,
 }
 
@@ -463,8 +331,8 @@ impl FlightRecorder {
     }
 
     /// Register one thread's ring (cold path).
-    pub fn register(&self, thread: u32) -> Arc<FlightRing> {
-        let ring = Arc::new(FlightRing::new(self.cap, thread));
+    pub fn register(&self, thread: u32) -> Arc<EventRing> {
+        let ring = Arc::new(EventRing::new(self.cap.max(16), thread));
         self.rings.write().unwrap().push(Arc::clone(&ring));
         ring
     }
@@ -474,7 +342,7 @@ impl FlightRecorder {
     /// event stream.
     pub fn capture(&self) -> Vec<Event> {
         let rings = self.rings.read().unwrap();
-        crate::recorder::merge(rings.iter().map(|r| r.tail()).collect())
+        crate::recorder::merge(rings.iter().map(|r| r.events()).collect())
     }
 }
 
@@ -505,50 +373,49 @@ impl LiveHandles {
         }
     }
 
-    /// Wire up one worker thread: register its counter slot and (when
-    /// the flight recorder is on) its event ring.
-    pub fn thread(&self, tid: u32) -> LiveThread {
+    /// Wire up one worker thread: register its slot — the counts its
+    /// runtime already keeps — and (when the flight recorder is on) its
+    /// event ring.
+    pub fn thread(&self, tid: u32, slot: &Arc<LiveSlot>) -> LiveThread {
+        self.registry.register(slot);
         LiveThread {
-            slot: self.registry.register_thread(),
             registry: Arc::clone(&self.registry),
             ring: self.flight.as_ref().map(|f| f.register(tid)),
         }
     }
 }
 
-/// One worker thread's live-telemetry wiring: its private counter
-/// slot, the registry (for per-site spec-cost attribution), and its
-/// flight ring when the recorder is armed.
+/// One worker thread's live wiring beyond its counts: the registry (for
+/// per-site spec-cost attribution) and its flight ring when the
+/// recorder is armed.
 #[derive(Debug, Clone)]
 pub struct LiveThread {
-    /// The thread's private padded counter slot.
-    pub slot: Arc<LiveSlot>,
     /// The shared registry ([`LiveRegistry::note_spec`] target).
     pub registry: Arc<LiveRegistry>,
     /// The thread's flight ring, if incident capture is armed.
-    pub ring: Option<Arc<FlightRing>>,
+    pub ring: Option<Arc<EventRing>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ALL_KINDS;
     use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn live_metric_names_are_unique_and_snake_case() {
-        let mut names: Vec<&str> = LIVE_METRICS.iter().map(|m| m.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), N_LIVE_METRICS);
-        for n in names {
-            assert!(
-                n.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
-                "{n} not snake_case"
-            );
+    fn per_kind_arrays_hold_every_kind() {
+        assert_eq!(Counts::default().0.len(), ALL_KINDS.len());
+        let slot = LiveSlot::new();
+        for (i, k) in ALL_KINDS.into_iter().enumerate() {
+            slot.add(k, i as u64 + 1);
         }
-        for (i, m) in LIVE_METRICS.iter().enumerate() {
-            assert_eq!(*m as usize, i, "LIVE_METRICS out of declaration order");
+        let c = slot.counts();
+        for (i, k) in ALL_KINDS.into_iter().enumerate() {
+            assert_eq!(c.get(k), i as u64 + 1, "{k:?}");
         }
+        // Hits are the three hit kinds; dispatches add the misses.
+        assert_eq!(c.hits(), 1 + 3 + 4);
+        assert_eq!(c.dispatches(), 1 + 2 + 3 + 4);
     }
 
     #[test]
@@ -560,14 +427,13 @@ mod tests {
     #[test]
     fn registry_snapshot_sums_across_threads() {
         let reg = LiveRegistry::new();
-        let a = reg.register_thread();
-        let b = reg.register_thread();
-        a.add(LiveMetric::Dispatches, 10);
-        a.add(LiveMetric::Hits, 7);
-        a.add(LiveMetric::Misses, 3);
+        let (a, b) = (Arc::new(LiveSlot::new()), Arc::new(LiveSlot::new()));
+        reg.register(&a);
+        reg.register(&b);
+        a.add(EventKind::DispatchHit, 7);
+        a.add(EventKind::DispatchMiss, 3);
         a.record_miss_ns(1_000);
-        b.add(LiveMetric::Dispatches, 5);
-        b.add(LiveMetric::Hits, 5);
+        b.add(EventKind::DispatchUnchecked, 5);
         b.record_miss_ns(2_000);
         b.record_miss_ns(3_000);
         reg.note_spec(2, 700);
@@ -575,15 +441,19 @@ mod tests {
         reg.note_spec(0, 50);
         let s = reg.snapshot();
         assert_eq!(s.threads, 2);
-        assert_eq!(s.get(LiveMetric::Dispatches), 15);
-        assert_eq!(s.get(LiveMetric::Hits), 12);
-        assert_eq!(s.get(LiveMetric::Misses), 3);
+        assert_eq!(s.counts.dispatches(), 15);
+        assert_eq!(s.counts.hits(), 12);
+        assert_eq!(s.counts.get(EventKind::DispatchMiss), 3);
         assert_eq!(s.miss_ns.count(), 3);
         assert_eq!(s.miss_ns.sum(), 6_000);
         assert_eq!(s.sites.len(), 2);
         assert_eq!((s.sites[0].site, s.sites[0].specs), (0, 1));
         assert_eq!((s.sites[1].site, s.sites[1].spec_cycles), (2, 1_000));
         assert!((s.sites[1].avg_spec_cycles() - 500.0).abs() < 1e-9);
+        // Differencing two snapshots is per kind.
+        a.add(EventKind::DispatchHit, 2);
+        let d = reg.snapshot().counts.diff(&s.counts);
+        assert_eq!((d.dispatches(), d.hits()), (2, 2));
     }
 
     #[test]
@@ -600,37 +470,6 @@ mod tests {
         assert_eq!(snap.max(), h.max());
         for p in [50.0, 95.0, 99.0] {
             assert_eq!(snap.percentile(p), h.percentile(p));
-        }
-    }
-
-    #[test]
-    fn flight_ring_tail_keeps_the_newest_events_in_order() {
-        let ring = FlightRing::new(16, 3);
-        for i in 0..40u64 {
-            ring.record(EventKind::DispatchMiss, i as u32, i, i * 10, i, 0);
-        }
-        let tail = ring.tail();
-        assert_eq!(tail.len(), 16);
-        assert_eq!(ring.recorded(), 40);
-        for (j, e) in tail.iter().enumerate() {
-            assert_eq!(e.seq, 24 + j as u64, "tail not the newest window");
-            assert_eq!(e.site, 24 + j as u32);
-            assert_eq!(e.thread, 3);
-            assert_eq!(e.kind, EventKind::DispatchMiss);
-        }
-    }
-
-    #[test]
-    fn flight_ring_round_trips_every_kind() {
-        let ring = FlightRing::new(64, 0);
-        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
-            ring.record(kind, i as u32, i as u64, 0, 7, 9);
-        }
-        let tail = ring.tail();
-        assert_eq!(tail.len(), ALL_KINDS.len());
-        for (i, e) in tail.iter().enumerate() {
-            assert_eq!(e.kind, ALL_KINDS[i]);
-            assert_eq!((e.a, e.b), (7, 9));
         }
     }
 

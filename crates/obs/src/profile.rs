@@ -248,7 +248,7 @@ pub fn contention(events: &[Event]) -> Vec<ThreadLoad> {
 /// payload). Together these are the two ways a dispatch miss stalls a
 /// serving thread.
 ///
-/// Note the ring-buffer caveat: a [`crate::Recorder`] keeps only the
+/// Note the ring-buffer caveat: a trace's [`crate::EventRing`] keeps only the
 /// newest [`crate::DEFAULT_CAPACITY`] events, so on long runs this
 /// histogram covers the trailing window. The serving harness instead
 /// uses the runtime's always-on per-thread histogram for whole-run

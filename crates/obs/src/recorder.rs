@@ -1,25 +1,37 @@
-//! The per-thread ring-buffer recorder and its zero-cost-when-off
-//! wrapper.
+//! The event ring — one type for the per-thread trace and the flight
+//! recorder — and the trace's zero-cost-when-off wrapper.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, ALL_KINDS};
 use crate::now_ns;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default ring capacity: 65 536 events (≈4.7 MB). Old events are
+/// Default ring capacity: 65 536 events (4 MiB). Old events are
 /// overwritten once the ring is full — a trace always holds the
 /// *newest* window of the run.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// A fixed-capacity event ring buffer owned by exactly one thread.
-/// Recording is lock-free and allocation-free: the buffer is sized at
-/// construction and never grows; when full, the oldest event is
-/// overwritten and `dropped` counts the loss.
+/// Words one ring slot occupies (one encoded [`Event`]).
+const EVENT_WORDS: usize = 8;
+
+/// A fixed-capacity ring of events with one writer (its owning thread)
+/// and any number of readers. Recording is lock-free and
+/// allocation-free: the buffer is sized at construction and never grows;
+/// when full, the oldest event is overwritten and counts as dropped.
+///
+/// A slot is eight relaxed atomic stores and the head a `Release` store,
+/// so another thread can read the ring while its owner records — the
+/// flight recorder's watchdog captures tails mid-run. A reader racing
+/// the writer may observe a slot mid-overwrite (torn between two
+/// events): a slot whose kind word is out of range is skipped, any other
+/// is a benign mixed payload. A ring read by its owner (a trace) is
+/// exact.
 ///
 /// # Examples
 ///
 /// ```
-/// use dyc_obs::{EventKind, Recorder};
+/// use dyc_obs::{EventKind, EventRing};
 ///
-/// let mut r = Recorder::with_capacity(4, 0);
+/// let r = EventRing::new(4, 0);
 /// for site in 0..6u32 {
 ///     r.record(EventKind::DispatchHit, site, 0, 0, 0, 0);
 /// }
@@ -31,104 +43,88 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// assert_eq!(ev[3].site, 5); // newest
 /// ```
 #[derive(Debug)]
-pub struct Recorder {
-    ring: Box<[Event]>,
-    /// Next write position.
-    head: usize,
-    /// Events currently resident (≤ capacity).
-    len: usize,
-    /// Events overwritten after the ring filled.
-    dropped: u64,
-    /// Next sequence number (strictly increasing for this recorder's
-    /// lifetime, surviving overwrites).
-    seq: u64,
+pub struct EventRing {
+    slots: Box<[AtomicU64]>,
+    /// Events ever recorded; the next one's sequence number.
+    head: AtomicU64,
+    cap: usize,
     thread: u32,
 }
 
-impl Recorder {
-    /// A recorder for `thread` holding at most `cap` events
-    /// (minimum 1).
-    pub fn with_capacity(cap: usize, thread: u32) -> Recorder {
-        Recorder {
-            ring: vec![Event::default(); cap.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
-            dropped: 0,
-            seq: 0,
+impl EventRing {
+    /// A ring for `thread` holding at most `cap` events (minimum 1).
+    pub fn new(cap: usize, thread: u32) -> EventRing {
+        let cap = cap.max(1);
+        EventRing {
+            slots: (0..cap * EVENT_WORDS).map(|_| AtomicU64::new(0)).collect(),
+            head: AtomicU64::new(0),
+            cap,
             thread,
         }
     }
 
-    /// Record one event. Allocation-free: writes into the preallocated
-    /// ring, overwriting the oldest event when full.
+    /// Record one event: eight relaxed stores plus a `Release` head
+    /// bump. Allocation-free; overwrites the oldest slot when full.
     #[inline]
-    pub fn record(&mut self, kind: EventKind, site: u32, key: u64, cycle: u64, a: u64, b: u64) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.ring[self.head] = Event {
-            kind,
-            site,
-            thread: self.thread,
-            key,
-            seq,
-            t_ns: now_ns(),
-            cycle,
-            a,
-            b,
-        };
-        self.head = (self.head + 1) % self.ring.len();
-        if self.len < self.ring.len() {
-            self.len += 1;
-        } else {
-            self.dropped += 1;
-        }
+    pub fn record(&self, kind: EventKind, site: u32, key: u64, cycle: u64, a: u64, b: u64) {
+        let h = self.head.load(Ordering::Relaxed);
+        let base = (h as usize % self.cap) * EVENT_WORDS;
+        let s = &self.slots[base..base + EVENT_WORDS];
+        s[0].store(kind as u64, Ordering::Relaxed);
+        s[1].store(u64::from(site), Ordering::Relaxed);
+        s[2].store(key, Ordering::Relaxed);
+        s[3].store(h, Ordering::Relaxed);
+        s[4].store(now_ns(), Ordering::Relaxed);
+        s[5].store(cycle, Ordering::Relaxed);
+        s[6].store(a, Ordering::Relaxed);
+        s[7].store(b, Ordering::Relaxed);
+        self.head.store(h + 1, Ordering::Release);
     }
 
-    /// The resident events, oldest first.
+    /// The resident events, oldest first. Slots whose kind word is out
+    /// of range (a torn read racing the writer) are skipped.
     pub fn events(&self) -> Vec<Event> {
-        let cap = self.ring.len();
-        let start = (self.head + cap - self.len) % cap;
-        (0..self.len)
-            .map(|i| self.ring[(start + i) % cap])
-            .collect()
-    }
-
-    /// Events currently resident.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Events lost to overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        let h = self.head.load(Ordering::Acquire);
+        let n = (h as usize).min(self.cap);
+        let mut out = Vec::with_capacity(n);
+        for i in (h - n as u64)..h {
+            let base = (i as usize % self.cap) * EVENT_WORDS;
+            let s = &self.slots[base..base + EVENT_WORDS];
+            let w = |j: usize| s[j].load(Ordering::Relaxed);
+            let Some(&kind) = ALL_KINDS.get(w(0) as usize) else {
+                continue;
+            };
+            out.push(Event {
+                kind,
+                site: w(1) as u32,
+                thread: self.thread,
+                key: w(2),
+                seq: w(3),
+                t_ns: w(4),
+                cycle: w(5),
+                a: w(6),
+                b: w(7),
+            });
+        }
+        out
     }
 
     /// Total events ever recorded (resident + dropped).
     pub fn recorded(&self) -> u64 {
-        self.seq
+        self.head.load(Ordering::Acquire)
     }
 
-    /// The recording thread's id.
-    pub fn thread(&self) -> u32 {
-        self.thread
+    /// Events lost to overwriting.
+    pub fn dropped(&self) -> u64 {
+        self.recorded().saturating_sub(self.cap as u64)
     }
 }
 
-/// An optional [`Recorder`]: the runtime knob. When off (the default),
-/// [`Trace::rec`] is a single branch on a `None` — no recorder is
-/// allocated at all, so tracing is zero-cost for untraced runs.
+/// An optional [`EventRing`]: the runtime knob. When off (the default),
+/// [`Trace::rec`] is a single branch on a `None` — no ring is allocated
+/// at all, so tracing is zero-cost for untraced runs.
 #[derive(Debug, Default)]
-pub struct Trace(Option<Box<Recorder>>);
+pub struct Trace(Option<Box<EventRing>>);
 
 impl Trace {
     /// Tracing disabled (records nothing).
@@ -143,7 +139,7 @@ impl Trace {
 
     /// Tracing enabled with an explicit ring capacity.
     pub fn with_capacity(cap: usize, thread: u32) -> Trace {
-        Trace(Some(Box::new(Recorder::with_capacity(cap, thread))))
+        Trace(Some(Box::new(EventRing::new(cap, thread))))
     }
 
     /// True if events are being recorded.
@@ -154,24 +150,19 @@ impl Trace {
     /// Record one event (no-op when off).
     #[inline]
     pub fn rec(&mut self, kind: EventKind, site: u32, key: u64, cycle: u64, a: u64, b: u64) {
-        if let Some(r) = &mut self.0 {
+        if let Some(r) = &self.0 {
             r.record(kind, site, key, cycle, a, b);
         }
     }
 
-    /// The underlying recorder, if tracing is on.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.0.as_deref()
-    }
-
     /// The resident events, oldest first (empty when off).
     pub fn events(&self) -> Vec<Event> {
-        self.0.as_deref().map(Recorder::events).unwrap_or_default()
+        self.0.as_deref().map(EventRing::events).unwrap_or_default()
     }
 
     /// Events lost to overwriting (0 when off).
     pub fn dropped(&self) -> u64 {
-        self.0.as_deref().map(Recorder::dropped).unwrap_or(0)
+        self.0.as_deref().map_or(0, EventRing::dropped)
     }
 }
 
@@ -189,25 +180,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wraparound_keeps_the_newest_events() {
-        let mut r = Recorder::with_capacity(8, 3);
+    fn wraparound_keeps_the_newest_window_and_counts_drops() {
+        let r = EventRing::new(8, 3);
         for i in 0..20u64 {
-            r.record(EventKind::DispatchHit, i as u32, i, 0, i, 0);
+            r.record(EventKind::DispatchMiss, i as u32, i, i * 10, i, 0);
         }
         let ev = r.events();
         assert_eq!(ev.len(), 8);
         assert_eq!(r.dropped(), 12);
         assert_eq!(r.recorded(), 20);
         // The surviving window is exactly the last 8 records, in order.
-        for (i, e) in ev.iter().enumerate() {
-            assert_eq!(e.site, 12 + i as u32);
+        for (j, e) in ev.iter().enumerate() {
+            assert_eq!(e.seq, 12 + j as u64);
+            assert_eq!(e.site, 12 + j as u32);
+            assert_eq!((e.key, e.cycle, e.a), (e.seq, e.seq * 10, e.seq));
             assert_eq!(e.thread, 3);
         }
     }
 
     #[test]
-    fn ordering_is_monotone_per_thread() {
-        let mut r = Recorder::with_capacity(64, 0);
+    fn seq_and_time_are_monotone() {
+        let r = EventRing::new(64, 0);
         for i in 0..200u32 {
             r.record(EventKind::DispatchMiss, i, 0, u64::from(i), 0, 0);
         }
@@ -219,8 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn partial_fill_returns_in_insertion_order() {
-        let mut r = Recorder::with_capacity(16, 0);
+    fn partial_fill_reads_back_in_insertion_order() {
+        let r = EventRing::new(16, 0);
         r.record(EventKind::GeExecBegin, 1, 0, 0, 0, 0);
         r.record(EventKind::GeExecEnd, 1, 0, 0, 9, 0);
         let ev = r.events();
@@ -232,30 +225,38 @@ mod tests {
     }
 
     #[test]
-    fn trace_off_records_nothing() {
+    fn every_kind_round_trips() {
+        let r = EventRing::new(ALL_KINDS.len(), 0);
+        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
+            r.record(kind, i as u32, i as u64, 0, 7, 9);
+        }
+        let ev = r.events();
+        assert_eq!(ev.len(), ALL_KINDS.len());
+        for (i, e) in ev.iter().enumerate() {
+            assert_eq!(e.kind, ALL_KINDS[i]);
+            assert_eq!((e.site, e.key, e.a, e.b), (i as u32, i as u64, 7, 9));
+        }
+    }
+
+    #[test]
+    fn a_trace_that_is_off_records_nothing() {
         let mut t = Trace::off();
         t.rec(EventKind::DispatchHit, 0, 0, 0, 0, 0);
         assert!(!t.is_on());
         assert!(t.events().is_empty());
-        assert!(t.recorder().is_none());
         assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn trace_on_records() {
         let mut t = Trace::with_capacity(4, 7);
         t.rec(EventKind::CacheEvict, 2, 99, 0, 1, 0);
         assert!(t.is_on());
         let ev = t.events();
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].thread, 7);
-        assert_eq!(ev[0].key, 99);
+        assert_eq!((ev[0].thread, ev[0].key), (7, 99));
     }
 
     #[test]
     fn merge_orders_across_threads() {
-        let mut a = Recorder::with_capacity(8, 0);
-        let mut b = Recorder::with_capacity(8, 1);
+        let a = EventRing::new(8, 0);
+        let b = EventRing::new(8, 1);
         a.record(EventKind::DispatchHit, 0, 0, 0, 0, 0);
         b.record(EventKind::DispatchHit, 1, 0, 0, 0, 0);
         a.record(EventKind::DispatchHit, 2, 0, 0, 0, 0);

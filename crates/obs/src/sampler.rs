@@ -17,11 +17,10 @@
 
 use crate::anomaly::{Anomaly, Watchdog, WatchdogConfig};
 use crate::chrome::chrome_trace;
+use crate::event::EventKind;
 use crate::hist::LatencyHistogram;
 use crate::json::escape;
-use crate::live::{
-    FlightRecorder, LiveMetric, LiveRegistry, LiveSnapshot, LIVE_METRICS, N_LIVE_METRICS,
-};
+use crate::live::{Counts, FlightRecorder, LiveRegistry, LiveSnapshot};
 use crate::prom::{render_metrics, Metric};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -58,8 +57,8 @@ pub struct Window {
     pub t0_ns: u64,
     /// Window end.
     pub t1_ns: u64,
-    /// Counter deltas, indexed by [`LiveMetric`].
-    pub counters: [u64; N_LIVE_METRICS],
+    /// Per-kind count deltas.
+    pub counts: Counts,
     /// Miss-path latency of samples recorded during this window
     /// (bucket-diffed; the max is the cumulative max, see
     /// [`LatencyHistogram::diff`]).
@@ -71,10 +70,6 @@ pub struct Window {
 impl Window {
     /// The delta window between two snapshots of the same registry.
     pub fn between(index: u64, prev: &LiveSnapshot, cur: &LiveSnapshot) -> Window {
-        let mut counters = [0u64; N_LIVE_METRICS];
-        for (i, c) in counters.iter_mut().enumerate() {
-            *c = cur.counters[i].saturating_sub(prev.counters[i]);
-        }
         let sites = cur
             .sites
             .iter()
@@ -95,15 +90,10 @@ impl Window {
             index,
             t0_ns: prev.t_ns,
             t1_ns: cur.t_ns,
-            counters,
+            counts: cur.counts.diff(&prev.counts),
             miss_ns: cur.miss_ns.diff(&prev.miss_ns),
             sites,
         }
-    }
-
-    /// One counter's delta.
-    pub fn get(&self, m: LiveMetric) -> u64 {
-        self.counters[m as usize]
     }
 
     /// Window length in seconds.
@@ -111,12 +101,12 @@ impl Window {
         self.t1_ns.saturating_sub(self.t0_ns) as f64 / 1e9
     }
 
-    /// A counter's per-second rate over this window (0 for a
-    /// zero-length window).
-    pub fn per_s(&self, m: LiveMetric) -> f64 {
+    /// `n` events over this window, per second (0 for a zero-length
+    /// window).
+    pub fn rate(&self, n: u64) -> f64 {
         let s = self.secs();
         if s > 0.0 {
-            self.get(m) as f64 / s
+            n as f64 / s
         } else {
             0.0
         }
@@ -124,22 +114,22 @@ impl Window {
 
     /// Dispatches per second.
     pub fn throughput(&self) -> f64 {
-        self.per_s(LiveMetric::Dispatches)
+        self.rate(self.counts.dispatches())
     }
 
     /// Hit rate over the window's dispatches (0 when idle).
     pub fn hit_rate(&self) -> f64 {
-        let d = self.get(LiveMetric::Dispatches);
+        let d = self.counts.dispatches();
         if d == 0 {
             0.0
         } else {
-            self.get(LiveMetric::Hits) as f64 / d as f64
+            self.counts.hits() as f64 / d as f64
         }
     }
 
     /// True if nothing moved during the window.
     pub fn is_idle(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
+        self.counts == Counts::default()
     }
 }
 
@@ -167,6 +157,57 @@ impl Default for SamplerConfig {
             incident_dir: None,
         }
     }
+}
+
+/// The cumulative `dyc_live_<name>_total` families: name, HELP text and
+/// value. Each is one kind's count, or a sum of the dispatch kinds.
+pub(crate) fn live_families(c: &Counts) -> [(&'static str, &'static str, u64); 11] {
+    use EventKind as K;
+    [
+        (
+            "dispatches",
+            "Dispatches served since start",
+            c.dispatches(),
+        ),
+        ("hits", "Dispatches served from the code cache", c.hits()),
+        (
+            "misses",
+            "Dispatches that took the miss path",
+            c.get(K::DispatchMiss),
+        ),
+        (
+            "specializations",
+            "Specializations published",
+            c.get(K::GeExecEnd),
+        ),
+        ("evictions", "Bounded-cache evictions", c.get(K::CacheEvict)),
+        ("flight_waits", "Single-flight waits", c.get(K::FlightWait)),
+        (
+            "flight_fallbacks",
+            "Single-flight generic fallbacks",
+            c.get(K::FlightFallback),
+        ),
+        (
+            "flight_races",
+            "Single-flight lost races",
+            c.get(K::FlightRace),
+        ),
+        (
+            "policy_defers",
+            "Adaptive-policy deferrals",
+            c.get(K::PolicyDefer),
+        ),
+        (
+            "policy_promotes",
+            "Adaptive-policy promotions",
+            c.get(K::PolicyPromote),
+        ),
+        (
+            "policy_throttles",
+            "Adaptive-policy throttled misses",
+            c.get(K::PolicyThrottle),
+        ),
+    ]
 }
 
 /// One retained incident: the anomaly, its JSON record, and the Chrome
@@ -230,24 +271,12 @@ impl SamplerView {
     pub fn prometheus(&self) -> String {
         let snap = self.0.registry.snapshot();
         let mut ms = Vec::new();
-        for m in LIVE_METRICS {
+        for (name, help, v) in live_families(&snap.counts) {
             ms.push(Metric::counter(
-                &format!("dyc_live_{}_total", m.name()),
-                match m {
-                    LiveMetric::Dispatches => "Dispatches served since start",
-                    LiveMetric::Hits => "Dispatches served from the code cache",
-                    LiveMetric::Misses => "Dispatches that took the miss path",
-                    LiveMetric::Specializations => "Specializations published",
-                    LiveMetric::Evictions => "Bounded-cache evictions",
-                    LiveMetric::FlightWaits => "Single-flight waits",
-                    LiveMetric::FlightFallbacks => "Single-flight generic fallbacks",
-                    LiveMetric::FlightRaces => "Single-flight lost races",
-                    LiveMetric::PolicyDefers => "Adaptive-policy deferrals",
-                    LiveMetric::PolicyPromotes => "Adaptive-policy promotions",
-                    LiveMetric::PolicyThrottles => "Adaptive-policy throttled misses",
-                },
+                &format!("dyc_live_{name}_total"),
+                help,
                 &[],
-                snap.get(m) as f64,
+                v as f64,
             ));
         }
         ms.push(Metric::gauge(
@@ -299,17 +328,17 @@ impl SamplerView {
             ms.push(g(
                 "dyc_live_window_evictions_per_s",
                 "Evictions per second over the latest window",
-                w.per_s(LiveMetric::Evictions),
+                w.rate(w.counts.get(EventKind::CacheEvict)),
             ));
             ms.push(g(
                 "dyc_live_window_waits_per_s",
                 "Single-flight waits per second over the latest window",
-                w.per_s(LiveMetric::FlightWaits),
+                w.rate(w.counts.get(EventKind::FlightWait)),
             ));
             ms.push(g(
                 "dyc_live_window_races_per_s",
                 "Single-flight lost races per second over the latest window",
-                w.per_s(LiveMetric::FlightRaces),
+                w.rate(w.counts.get(EventKind::FlightRace)),
             ));
         }
         for s in &snap.sites {
@@ -457,10 +486,10 @@ fn build_incident(shared: &Shared, anomaly: Anomaly, w: &Window) -> IncidentReco
         "  \"window_stats\": {{ \"dispatches\": {}, \"hit_rate\": {:.6}, \
          \"evictions\": {}, \"flight_waits\": {}, \"miss_p50_ns\": {}, \
          \"miss_p95_ns\": {}, \"miss_p99_ns\": {} }}",
-        w.get(LiveMetric::Dispatches),
+        w.counts.dispatches(),
         w.hit_rate(),
-        w.get(LiveMetric::Evictions),
-        w.get(LiveMetric::FlightWaits),
+        w.counts.get(EventKind::CacheEvict),
+        w.counts.get(EventKind::FlightWait),
         p50,
         p95,
         p99,
@@ -491,28 +520,34 @@ fn build_incident(shared: &Shared, anomaly: Anomaly, w: &Window) -> IncidentReco
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::LiveHandles;
-    use crate::EventKind;
+    use crate::live::{LiveHandles, LiveSlot};
+    use crate::ALL_KINDS;
+    use EventKind as K;
+
+    /// A fresh slot registered with `reg`.
+    fn slot(reg: &LiveRegistry) -> Arc<LiveSlot> {
+        let slot = Arc::new(LiveSlot::new());
+        reg.register(&slot);
+        slot
+    }
 
     #[test]
     fn window_between_computes_deltas_and_rates() {
         let reg = LiveRegistry::new();
-        let slot = reg.register_thread();
-        slot.add(LiveMetric::Dispatches, 100);
-        slot.add(LiveMetric::Hits, 90);
-        slot.add(LiveMetric::Misses, 10);
+        let slot = slot(&reg);
+        slot.add(K::DispatchHit, 90);
+        slot.add(K::DispatchMiss, 10);
         slot.record_miss_ns(1_000);
         reg.note_spec(0, 800);
         let a = reg.snapshot();
-        slot.add(LiveMetric::Dispatches, 50);
-        slot.add(LiveMetric::Hits, 50);
+        slot.add(K::DispatchHit, 50);
         reg.note_spec(0, 1_200);
         let b = reg.snapshot();
         let w = Window::between(3, &a, &b);
         assert_eq!(w.index, 3);
-        assert_eq!(w.get(LiveMetric::Dispatches), 50);
-        assert_eq!(w.get(LiveMetric::Hits), 50);
-        assert_eq!(w.get(LiveMetric::Misses), 0);
+        assert_eq!(w.counts.dispatches(), 50);
+        assert_eq!(w.counts.hits(), 50);
+        assert_eq!(w.counts.get(K::DispatchMiss), 0);
         assert_eq!(w.hit_rate(), 1.0);
         assert_eq!(w.miss_ns.count(), 0);
         assert_eq!(w.sites.len(), 1);
@@ -536,12 +571,10 @@ mod tests {
                 ..SamplerConfig::default()
             },
         );
-        let slot = handles.registry.register_thread();
-        slot.add(LiveMetric::Dispatches, 10);
-        slot.add(LiveMetric::Hits, 10);
+        slot(&handles.registry).add(K::DispatchHit, 10);
         let (windows, incidents) = sampler.stop();
         assert_eq!(windows.len(), 1, "flush window missing");
-        assert_eq!(windows[0].get(LiveMetric::Dispatches), 10);
+        assert_eq!(windows[0].counts.dispatches(), 10);
         assert!(incidents.is_empty());
     }
 
@@ -563,7 +596,7 @@ mod tests {
     #[test]
     fn window_ring_is_bounded_and_total_keeps_counting() {
         let handles = LiveHandles::new();
-        let slot = handles.registry.register_thread();
+        let slot = slot(&handles.registry);
         let sampler = Sampler::spawn(
             Arc::clone(&handles.registry),
             None,
@@ -575,7 +608,7 @@ mod tests {
         );
         // Keep the counters moving so windows are non-idle.
         for _ in 0..200 {
-            slot.add(LiveMetric::Dispatches, 1);
+            slot.add(K::DispatchHit, 1);
             std::thread::sleep(Duration::from_millis(1));
         }
         let view = sampler.view();
@@ -591,7 +624,8 @@ mod tests {
     #[test]
     fn watchdog_trigger_dumps_an_incident_with_flight_capture() {
         let handles = LiveHandles::with_flight(256);
-        let live = handles.thread(0);
+        let slot = Arc::new(LiveSlot::new());
+        let live = handles.thread(0, &slot);
         let sampler = Sampler::spawn(
             Arc::clone(&handles.registry),
             handles.flight.clone(),
@@ -608,12 +642,12 @@ mod tests {
         );
         // Simulate a storm: half the dispatches evict, with ring
         // events to capture.
-        live.slot.add(LiveMetric::Dispatches, 100);
-        live.slot.add(LiveMetric::Misses, 50);
-        live.slot.add(LiveMetric::Evictions, 50);
+        slot.add(K::DispatchHit, 50);
+        slot.add(K::DispatchMiss, 50);
+        slot.add(K::CacheEvict, 50);
         let ring = live.ring.as_ref().unwrap();
         for i in 0..20 {
-            ring.record(EventKind::CacheEvict, 0, i, 0, 0, 0);
+            ring.record(K::CacheEvict, 0, i, 0, 0, 0);
         }
         let (windows, incidents) = sampler.stop();
         assert_eq!(windows.len(), 1);
@@ -647,10 +681,9 @@ mod tests {
                 ..SamplerConfig::default()
             },
         );
-        let slot = handles.registry.register_thread();
-        slot.add(LiveMetric::Dispatches, 42);
-        slot.add(LiveMetric::Hits, 40);
-        slot.add(LiveMetric::Misses, 2);
+        let slot = slot(&handles.registry);
+        slot.add(K::DispatchHit, 40);
+        slot.add(K::DispatchMiss, 2);
         slot.record_miss_ns(5_000);
         handles.registry.note_spec(1, 900);
         let view = sampler.view();
@@ -661,5 +694,45 @@ mod tests {
         assert!(text.contains("# TYPE dyc_live_window_throughput gauge"));
         assert!(text.contains("dyc_live_site_spec_cycles_avg{site=\"1\"} 900"));
         assert!(text.contains("dyc_live_windows_total 1"));
+    }
+
+    #[test]
+    fn prometheus_renders_every_live_family_from_the_kind_counts() {
+        let handles = LiveHandles::new();
+        let slot = slot(&handles.registry);
+        // Kind i counts i + 1, so every family's sum is distinct.
+        for (i, k) in ALL_KINDS.into_iter().enumerate() {
+            slot.add(k, i as u64 + 1);
+        }
+        let sampler = Sampler::spawn(
+            Arc::clone(&handles.registry),
+            None,
+            SamplerConfig {
+                interval: Duration::from_secs(3600),
+                ..SamplerConfig::default()
+            },
+        );
+        let view = sampler.view();
+        let _ = sampler.stop();
+        let text = view.prometheus();
+        let families = [
+            ("dispatches", "Dispatches served since start", 1 + 2 + 3 + 4),
+            ("hits", "Dispatches served from the code cache", 1 + 3 + 4),
+            ("misses", "Dispatches that took the miss path", 2),
+            ("specializations", "Specializations published", 8),
+            ("evictions", "Bounded-cache evictions", 11),
+            ("flight_waits", "Single-flight waits", 5),
+            ("flight_fallbacks", "Single-flight generic fallbacks", 6),
+            ("flight_races", "Single-flight lost races", 20),
+            ("policy_defers", "Adaptive-policy deferrals", 17),
+            ("policy_promotes", "Adaptive-policy promotions", 18),
+            ("policy_throttles", "Adaptive-policy throttled misses", 19),
+        ];
+        for (name, help, v) in families {
+            let f = format!("dyc_live_{name}_total");
+            let block = format!("# HELP {f} {help}\n# TYPE {f} counter\n{f} {v}\n");
+            assert!(text.contains(&block), "{f} missing or wrong:\n{text}");
+        }
+        assert_eq!(text.matches("_total counter").count(), families.len() + 2);
     }
 }

@@ -10,7 +10,8 @@
 //!   threads share: the staged program, the [`ShardedCache`] mapping
 //!   `(site, key)` to published code, an append-only site table (internal
 //!   promotion sites discovered by any thread become visible to all), the
-//!   code registry, the single-flight wait-map, and the global meters.
+//!   code registry, the single-flight wait-map, and the per-kind event
+//!   counts of every thread it made, which its meters are summed from.
 //!   The registry is a table of generation-tagged slots: unbinding code
 //!   (an eviction, an invalidation) frees its slot at once, and the next
 //!   publication reuses it under a new generation.
@@ -85,9 +86,9 @@ use crate::dispatch::{Claim, CodeStore, Dispatcher, Lane, Retired};
 use crate::ge_exec::SpecHost;
 use crate::policy::{PolicyEngine, PolicyParams};
 use crate::runtime::Site;
-use crate::stats::{ConcStats, Counter, RtStats, Sinks};
+use crate::stats::{RtStats, Sinks};
 use dyc_bta::PolicyMode;
-use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, Trace};
+use dyc_obs::{now_ns, Counts, EventKind, LatencyHistogram, LiveHandles, LiveSlot, Trace};
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, VmError};
 use std::collections::HashMap;
@@ -549,23 +550,8 @@ impl Registry {
 /// backend and the adaptive policy are the staged program's
 /// [`OptConfig`](dyc_bta::OptConfig) flags (`trace`, `native`, `policy`),
 /// exactly as for the single-threaded [`Runtime`](crate::Runtime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedOptions {
-    /// Shard count for the code cache (rounded up to a power of two).
-    /// `0` (the default) auto-sizes from the machine: 8 shards per
-    /// hardware thread, clamped to `[16, 512]`. The serving measurements
-    /// (EXPERIMENTS.md, "Serving under skewed traffic") found throughput
-    /// flat from 16 shards up but degrading below 4 on write-heavy churn,
-    /// so auto keeps a 16-shard floor even on small machines and scales
-    /// with the hardware instead of freezing yesterday's constant.
-    pub shards: usize,
-    /// Shard count for the single-flight wait-map (rounded up to a power
-    /// of two). `0` (the default) matches the resolved cache shard
-    /// count, so one key contends with the same 1/Nth of the keyspace in
-    /// both structures. `1` reproduces the pre-serving global mutex —
-    /// kept selectable so the EXPERIMENTS.md before/after numbers stay
-    /// reproducible from one binary.
-    pub flight_shards: usize,
     /// What racing threads do on a miss that is already in flight.
     pub miss_policy: MissPolicy,
     /// Give every [`ThreadRuntime`] an allocation-free miss-path latency
@@ -579,24 +565,14 @@ pub struct SharedOptions {
     pub latency: bool,
 }
 
-impl Default for SharedOptions {
-    fn default() -> SharedOptions {
-        SharedOptions {
-            shards: 0,
-            flight_shards: 0,
-            miss_policy: MissPolicy::Block,
-            latency: false,
-        }
-    }
-}
-
-/// Resolve a shard-count knob: `0` auto-sizes to 8 shards per hardware
-/// thread, clamped to `[16, 512]` (see [`SharedOptions::shards`] for the
-/// measured rationale).
-fn resolve_shards(n: usize) -> usize {
-    if n != 0 {
-        return n;
-    }
+/// The code cache's shard count: 8 per hardware thread, clamped to
+/// `[16, 512]`. The serving measurements (EXPERIMENTS.md, "Serving under
+/// skewed traffic") found throughput flat from 16 shards up but
+/// degrading below 4 on write-heavy churn, so the count keeps a 16-shard
+/// floor even on small machines and scales with the hardware. The
+/// single-flight wait-map takes the same count, so one key contends with
+/// the same 1/Nth of the keyspace in both structures.
+fn auto_shards() -> usize {
     let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
     (hw * 8).clamp(16, 512)
 }
@@ -625,8 +601,14 @@ pub struct SharedRuntime {
     registry: RwLock<Registry>,
     /// Single-flight wait-map, keyed (and sharded) like the cache.
     inflight: FlightMap,
-    /// Global meters, shared with every thread handler.
-    stats: Arc<ConcStats>,
+    /// The event counts of every [`ThreadRuntime`] made from this
+    /// runtime, kept after the thread ends; [`SharedRuntime::stats`] sums
+    /// them.
+    slots: Mutex<Vec<Arc<LiveSlot>>>,
+    /// The counts of events with no thread: invalidations through
+    /// [`SharedRuntime::invalidate_site`] and warm-start loads and
+    /// rejects.
+    own: LiveSlot,
     /// Adaptive specialization policy, `None` in `Always` mode (the
     /// default). Consulted only on the miss path; see [`crate::policy`].
     policy: Option<PolicyEngine>,
@@ -635,7 +617,7 @@ pub struct SharedRuntime {
     next_thread: AtomicU32,
     /// Live-telemetry handles ([`SharedRuntime::attach_live`]). `None`
     /// (the default) costs the warm path nothing; threads created after
-    /// attachment register a per-thread slot and flight ring.
+    /// attachment register their slot and a flight ring.
     live: RwLock<Option<LiveHandles>>,
 }
 
@@ -665,7 +647,7 @@ impl SpecHost for &SharedRuntime {
 
 impl SharedRuntime {
     /// Build the shared runtime for a staged program with default
-    /// options (auto-sized shards, [`MissPolicy::Block`]).
+    /// options ([`MissPolicy::Block`]).
     pub fn new(staged: StagedProgram) -> SharedRuntime {
         SharedRuntime::with_options(staged, SharedOptions::default())
     }
@@ -675,21 +657,17 @@ impl SharedRuntime {
         let base_module = staged.build_module();
         let policy = (staged.cfg.policy == PolicyMode::Adaptive)
             .then(|| PolicyEngine::new(PolicyParams::default()));
-        let cache_shards = resolve_shards(opts.shards);
-        let flight_shards = if opts.flight_shards == 0 {
-            cache_shards
-        } else {
-            opts.flight_shards
-        };
+        let shards = auto_shards();
         let shared = SharedRuntime {
-            cache: ShardedCache::new(cache_shards),
+            cache: ShardedCache::new(shards),
             opts,
             base_len: base_module.len(),
             base_module,
             sites: RwLock::new(Vec::new()),
             registry: RwLock::new(Registry::default()),
-            inflight: FlightMap::new(flight_shards),
-            stats: Arc::default(),
+            inflight: FlightMap::new(shards),
+            slots: Mutex::default(),
+            own: LiveSlot::new(),
             policy,
             next_thread: AtomicU32::new(0),
             live: RwLock::new(None),
@@ -703,19 +681,15 @@ impl SharedRuntime {
     }
 
     /// Attach live-telemetry handles: every [`ThreadRuntime`] created
-    /// afterwards registers a sharded counter slot (and a flight ring
-    /// when the handles carry a recorder) and feeds the registry from
-    /// its meter points. Attach before spawning workers; existing
-    /// threads are unaffected. Telemetry never changes published code,
-    /// results, or [`RtStats`] — see `dyc_obs::live`'s
+    /// afterwards registers its slot — the same per-kind counts
+    /// [`SharedRuntime::stats`] sums — with the registry, plus a flight
+    /// ring when the handles carry a recorder, and charges per-site
+    /// specialization costs to the registry. Attach before spawning
+    /// workers; existing threads are unaffected. Telemetry never changes
+    /// published code, results, or any meter — see `dyc_obs::live`'s
     /// observer-effect-free obligations.
     pub fn attach_live(&self, handles: LiveHandles) {
         *self.live.write().unwrap() = Some(handles);
-    }
-
-    /// The attached live-telemetry handles, if any.
-    pub fn live_handles(&self) -> Option<LiveHandles> {
-        self.live.read().unwrap().clone()
     }
 
     /// The adaptive policy engine, when enabled (diagnostics and tests).
@@ -732,19 +706,24 @@ impl SharedRuntime {
             .opts
             .latency
             .then(|| Box::new(LatencyHistogram::new()));
+        let slot = Arc::new(LiveSlot::new());
+        shared
+            .slots
+            .lock()
+            .expect("slot list poisoned")
+            .push(Arc::clone(&slot));
         let live = shared
             .live
             .read()
             .unwrap()
             .as_ref()
-            .map(|h| Box::new(h.thread(tid)));
+            .map(|h| Box::new(h.thread(tid, &slot)));
         let store = SharedStore {
             shared: Arc::clone(shared),
             local_ids: Vec::new(),
             site_cache: Vec::new(),
         };
-        let global = Some(Arc::clone(&shared.stats));
-        Dispatcher::with_store(store, tid, miss_hist, live, global)
+        Dispatcher::with_store(store, tid, miss_hist, Some(slot), live)
     }
 
     /// A fresh copy of the statically compiled base module for a thread
@@ -850,14 +829,14 @@ impl SharedRuntime {
     }
 
     /// Meter an event of the shared runtime itself, outside any thread
-    /// handler: only the global meters see it.
-    fn global_sinks<R>(&self, f: impl FnOnce(&mut Sinks<'_>) -> R) -> R {
+    /// handler: it is counted in the runtime's own slot only.
+    fn own_sinks<R>(&self, f: impl FnOnce(&mut Sinks<'_>) -> R) -> R {
         let (mut stats, mut trace) = (RtStats::new(), Trace::off());
         f(&mut Sinks {
             stats: &mut stats,
             trace: &mut trace,
+            slot: Some(&self.own),
             live: None,
-            global: Some(&*self.stats),
         })
     }
 
@@ -895,7 +874,7 @@ impl SharedRuntime {
     /// code.
     pub fn invalidate_site(&self, point: u32) {
         self.purge(point);
-        self.global_sinks(|s| s.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0));
+        self.own_sinks(|s| s.note(EventKind::CacheInvalidate, point, &[], 0, 0, 0));
     }
 
     /// Snapshot of every `(site, key, global id)` binding currently
@@ -945,15 +924,26 @@ impl SharedRuntime {
     pub fn restore_bundle(&self, bundle: &CacheBundle) {
         let fresh = self.n_sites() == self.staged.entry_sites.len() && self.published() == 0;
         let mut host = self;
-        self.global_sinks(|sinks| {
+        self.own_sinks(|sinks| {
             let policy = self.policy.as_ref();
             artifact::restore(&self.staged, bundle, fresh, policy, &mut host, sinks)
         });
     }
 
-    /// Snapshot of the global meters.
+    /// The runtime's per-kind event counts: its own slot plus the slot
+    /// of every thread it made.
+    fn counts(&self) -> Counts {
+        let mut c = self.own.counts();
+        for s in self.slots.lock().expect("slot list poisoned").iter() {
+            c.merge(&s.counts());
+        }
+        c
+    }
+
+    /// Snapshot of the runtime's meters: each counter is one event
+    /// kind's count, summed over the runtime's slots.
     pub fn stats(&self) -> ConcSnapshot {
-        let g = |c| self.stats.get(c);
+        use EventKind as K;
         let (published, live, high_water) = {
             let reg = self.registry.read().unwrap();
             (
@@ -962,22 +952,24 @@ impl SharedRuntime {
                 reg.slots.len(),
             )
         };
+        let c = self.counts();
+        let g = |kind| c.get(kind);
         ConcSnapshot {
-            specializations: g(Counter::Specializations),
-            single_flight_waits: g(Counter::FlightWaits),
-            single_flight_fallbacks: g(Counter::FlightFallbacks),
-            single_flight_races: g(Counter::FlightRaces),
-            cache_evictions: g(Counter::Evictions),
-            cache_invalidations: g(Counter::Invalidations),
-            generic_continuations: g(Counter::GenericContinuations),
-            cache_warm_loads: g(Counter::WarmLoads),
-            cache_warm_rejects: g(Counter::WarmRejects),
-            native_installs: g(Counter::NativeInstalls),
-            native_fallbacks: g(Counter::NativeFallbacks),
-            policy_defers: g(Counter::PolicyDefers),
-            policy_promotes: g(Counter::PolicyPromotes),
-            policy_throttled: g(Counter::PolicyThrottles),
-            stale_reprobes: g(Counter::FlightStales),
+            specializations: g(K::GeExecEnd),
+            single_flight_waits: g(K::FlightWait),
+            single_flight_fallbacks: g(K::FlightFallback),
+            single_flight_races: g(K::FlightRace),
+            cache_evictions: g(K::CacheEvict),
+            cache_invalidations: g(K::CacheInvalidate),
+            generic_continuations: g(K::GenericBuild),
+            cache_warm_loads: g(K::CacheWarmLoad),
+            cache_warm_rejects: g(K::CacheWarmReject),
+            native_installs: g(K::NativeInstall),
+            native_fallbacks: g(K::NativeFallback),
+            policy_defers: g(K::PolicyDefer),
+            policy_promotes: g(K::PolicyPromote),
+            policy_throttled: g(K::PolicyThrottle),
+            stale_reprobes: g(K::FlightStale),
             published,
             registry_live: live as u64,
             registry_high_water: high_water as u64,
@@ -1234,7 +1226,7 @@ impl ThreadRuntime {
     }
 
     /// [`SharedRuntime::invalidate_site`], metered by this thread (its
-    /// [`RtStats`] and trace as well as the global meters). This thread's
+    /// [`RtStats`], trace and slot). This thread's
     /// copies of the dropped code are retired too; the next dispatch
     /// frees them.
     pub fn invalidate_site(&mut self, point: u32) {
@@ -1592,16 +1584,24 @@ mod tests {
 
     #[test]
     fn conc_snapshot_covers_every_meter() {
-        // Every global meter is bumped through the meter table: noting
-        // each kind once must surface as exactly one count in its
-        // snapshot field, and no kind may reach a field it does not own.
+        // Every counter is one kind's count: noting each kind once must
+        // surface as exactly one count in its snapshot field, and no kind
+        // may reach a field it does not own.
         assert_eq!(
             std::mem::size_of::<ConcSnapshot>(),
             std::mem::size_of::<Vec<ShardMeter>>() + 18 * 8
         );
-        let shared = SharedRuntime::new(staged(POWER));
-        let noted = |kind: EventKind| {
-            shared.global_sinks(|s| s.note(kind, 0, &[], 0, 0, 0));
+        let shared = Arc::new(SharedRuntime::new(staged(POWER)));
+        // A thread's slot and the runtime's own are summed alike.
+        let mut t = SharedRuntime::thread(&shared);
+        let mut thread_noted = false;
+        let mut noted = |kind: EventKind| {
+            if thread_noted {
+                shared.own_sinks(|s| s.note(kind, 0, &[], 0, 0, 0));
+            } else {
+                t.note(kind, 0, &[], 0, 0, 0);
+            }
+            thread_noted = !thread_noted;
             shared.stats()
         };
         type Field = fn(&ConcSnapshot) -> u64;
@@ -1627,6 +1627,14 @@ mod tests {
             assert_eq!(field(&s), 1, "{kind:?} missed its meter");
             let total: u64 = cases.iter().map(|(_, f)| f(&s)).sum();
             assert_eq!(total, i as u64 + 1, "{kind:?} bumped a foreign meter");
+        }
+        // The other kinds reach no snapshot field.
+        for kind in dyc_obs::ALL_KINDS {
+            if cases.iter().all(|(k, _)| *k != kind) {
+                let s = noted(kind);
+                let total: u64 = cases.iter().map(|(_, f)| f(&s)).sum();
+                assert_eq!(total, cases.len() as u64, "{kind:?} reached a field");
+            }
         }
         let s = shared.stats();
         assert_eq!(

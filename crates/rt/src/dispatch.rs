@@ -43,8 +43,8 @@ use crate::native::{exec_entry, lower_func, NativeDispatch, NativeEngine};
 use crate::policy::{PolicyDecision, PolicyEngine};
 use crate::runtime::Site;
 use crate::specializer::Specializer;
-use crate::stats::{ConcStats, RtStats, Sinks};
-use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveThread, Trace};
+use crate::stats::{RtStats, Sinks};
+use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveSlot, LiveThread, Trace};
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{DispatchHandler, DispatchOutcome, FuncId, Module, Value, Vm, VmError};
 use std::sync::Arc;
@@ -227,14 +227,16 @@ pub struct Dispatcher<S> {
     /// Miss-path latency histogram (`SharedOptions::latency`). Boxed so
     /// the cold miss path's bookkeeping doesn't bloat the handler.
     miss_hist: Option<Box<LatencyHistogram>>,
-    /// The thread's live-telemetry handle, present when its shared
-    /// runtime had handles attached before the thread was created. The
-    /// warm path pays one `None` branch when telemetry is off and two
-    /// relaxed atomic adds when on.
+    /// The thread's per-kind event counts, which its shared runtime
+    /// sums for [`SharedRuntime::stats`](crate::SharedRuntime::stats) (a
+    /// [`Runtime`](crate::Runtime) has none). A warm hit adds one to its
+    /// kind's count: a relaxed add on a cache line only this thread
+    /// writes.
+    slot: Option<Arc<LiveSlot>>,
+    /// The thread's live-telemetry wiring, present when its shared
+    /// runtime had handles attached before the thread was created; the
+    /// warm path pays one `None` branch for it.
     live: Option<Box<LiveThread>>,
-    /// The shared runtime's global meters (a [`Runtime`](crate::Runtime)
-    /// has none).
-    global: Option<Arc<ConcStats>>,
 }
 
 impl<S> Dispatcher<S> {
@@ -244,8 +246,8 @@ impl<S> Dispatcher<S> {
         store: S,
         thread: u32,
         miss_hist: Option<Box<LatencyHistogram>>,
+        slot: Option<Arc<LiveSlot>>,
         live: Option<Box<LiveThread>>,
-        global: Option<Arc<ConcStats>>,
     ) -> Dispatcher<S>
     where
         S: CodeStore,
@@ -266,8 +268,8 @@ impl<S> Dispatcher<S> {
             spec: SpecScratch::default(),
             retired: Retired::default(),
             miss_hist,
+            slot,
             live,
-            global,
         }
     }
 
@@ -312,8 +314,8 @@ impl<S> Dispatcher<S> {
         let mut sinks = Sinks {
             stats: &mut self.stats,
             trace: &mut self.trace,
+            slot: self.slot.as_deref(),
             live: self.live.as_deref(),
-            global: self.global.as_deref(),
         };
         sinks.note(kind, site, key_words, cycle, a, b);
     }
@@ -424,8 +426,8 @@ impl<S> Dispatcher<S> {
         let sinks = Sinks {
             stats: &mut self.stats,
             trace: &mut self.trace,
+            slot: self.slot.as_deref(),
             live: self.live.as_deref(),
-            global: self.global.as_deref(),
         };
         let (costs, scratch) = (self.costs, &mut self.spec);
         let spec = self.store.with_spec(point, |staged, site, host| {
@@ -466,9 +468,10 @@ impl<S> Dispatcher<S> {
         Ok(func)
     }
 
-    /// [`Self::miss`], timed into the miss-path latency histogram and the
-    /// live slot: miss detection → runnable code. Hits never come here,
-    /// so the warm path reads no clock.
+    /// [`Self::miss`], timed into the miss-path latency histogram and,
+    /// with live telemetry attached, the slot's: miss detection →
+    /// runnable code. Hits never come here, so the warm path reads no
+    /// clock.
     fn timed_miss(
         &mut self,
         key: &[u64],
@@ -487,8 +490,8 @@ impl<S> Dispatcher<S> {
             if let Some(h) = self.miss_hist.as_mut() {
                 h.record(d);
             }
-            if let Some(l) = &self.live {
-                l.slot.record_miss_ns(d);
+            if let (Some(s), Some(_)) = (&self.slot, &self.live) {
+                s.record_miss_ns(d);
             }
         }
         resolved

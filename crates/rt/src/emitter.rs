@@ -35,9 +35,8 @@ use crate::stats::RtStats;
 use dyc_bta::OptConfig;
 use dyc_ir::inst::{Callee, Inst};
 use dyc_ir::VReg;
-use dyc_vm::{
-    Cc, CodeFunc, FAluOp, FuncId, IAluOp, Instr, Module, Operand, Reg, UnOp, Value, Vm, VmError,
-};
+use dyc_vm::interp::{falu, fcmp, ialu, icmp, unop};
+use dyc_vm::{CodeFunc, FAluOp, FuncId, IAluOp, Instr, Module, Operand, Reg, Value, Vm, VmError};
 use std::collections::HashMap;
 
 /// A dense bitset over machine registers — the unit-local live-register
@@ -727,16 +726,14 @@ impl<'s> Emitter<'s> {
             Inst::ConstI { v, .. } => Value::I(*v),
             Inst::ConstF { v, .. } => Value::F(*v),
             Inst::Copy { src, .. } => val(*src),
-            Inst::Un { op, src, .. } => eval_un(*op, val(*src)),
-            Inst::IBin { op, a, b, .. } => {
-                Value::I(eval_ialu(*op, val(*a).as_i(), val(*b).as_i())?)
-            }
-            Inst::FBin { op, a, b, .. } => Value::F(eval_falu(*op, val(*a).as_f(), val(*b).as_f())),
+            Inst::Un { op, src, .. } => unop(*op, val(*src)),
+            Inst::IBin { op, a, b, .. } => Value::I(ialu(*op, val(*a).as_i(), val(*b).as_i())?),
+            Inst::FBin { op, a, b, .. } => Value::F(falu(*op, val(*a).as_f(), val(*b).as_f())),
             Inst::ICmp { cc, a, b, .. } => {
-                Value::I(eval_icmp(*cc, val(*a).as_i(), val(*b).as_i()) as i64)
+                Value::I(icmp(*cc, val(*a).as_i(), val(*b).as_i()) as i64)
             }
             Inst::FCmp { cc, a, b, .. } => {
-                Value::I(eval_fcmp(*cc, val(*a).as_f(), val(*b).as_f()) as i64)
+                Value::I(fcmp(*cc, val(*a).as_f(), val(*b).as_f()) as i64)
             }
             Inst::Load { ty, base, idx, .. } => {
                 // A *static load* (§2.2.6): read live VM memory now.
@@ -905,7 +902,7 @@ impl<'s> Emitter<'s> {
             }
             Inst::ICmp { cc, dst, .. } => match (ops[0], ops[1]) {
                 (Opnd::KI(x), Opnd::KI(y)) => {
-                    self.fold_to(*dst, Opnd::KI(eval_icmp(*cc, x, y) as i64), stats);
+                    self.fold_to(*dst, Opnd::KI(icmp(*cc, x, y) as i64), stats);
                 }
                 (Opnd::R(x), Opnd::KI(y)) => {
                     let r = self.reg_of(*dst);
@@ -949,7 +946,7 @@ impl<'s> Emitter<'s> {
             Inst::FCmp { cc, dst, .. } => {
                 let (ra, rb) = (ops[0], ops[1]);
                 if let (Opnd::KF(x), Opnd::KF(y)) = (ra, rb) {
-                    self.fold_to(*dst, Opnd::KI(eval_fcmp(*cc, x, y) as i64), stats);
+                    self.fold_to(*dst, Opnd::KI(fcmp(*cc, x, y) as i64), stats);
                 } else {
                     let xr = self.opnd_reg(ra);
                     let yr = self.opnd_reg(rb);
@@ -978,7 +975,7 @@ impl<'s> Emitter<'s> {
                     );
                 }
                 k => {
-                    let folded = eval_un(*op, opnd_value(k));
+                    let folded = unop(*op, opnd_value(k));
                     self.fold_to(*dst, value_opnd(folded), stats);
                 }
             },
@@ -1076,7 +1073,7 @@ impl<'s> Emitter<'s> {
         self.exec_cycles += costs.opt_check;
         // Both operands known (only possible through renames): fold.
         if let (Opnd::KI(x), Opnd::KI(y)) = (ra, rb) {
-            if let Ok(v) = eval_ialu(op, x, y) {
+            if let Ok(v) = ialu(op, x, y) {
                 self.fold_to(dst, Opnd::KI(v), stats);
                 return;
             }
@@ -1272,7 +1269,7 @@ impl<'s> Emitter<'s> {
     ) {
         self.exec_cycles += costs.opt_check;
         if let (Opnd::KF(x), Opnd::KF(y)) = (ra, rb) {
-            self.fold_to(dst, Opnd::KF(eval_falu(op, x, y)), stats);
+            self.fold_to(dst, Opnd::KF(falu(op, x, y)), stats);
             return;
         }
         let (ra, rb) = match (op, ra, rb) {
@@ -1441,76 +1438,6 @@ pub(crate) fn value_opnd(v: Value) -> Opnd {
     match v {
         Value::I(i) => Opnd::KI(i),
         Value::F(f) => Opnd::KF(f),
-    }
-}
-
-fn eval_un(op: UnOp, v: Value) -> Value {
-    match op {
-        UnOp::NegI => Value::I(v.as_i().wrapping_neg()),
-        UnOp::NotI => Value::I(!v.as_i()),
-        UnOp::NegF => Value::F(-v.as_f()),
-        UnOp::IToF => Value::F(v.as_i() as f64),
-        UnOp::FToI => Value::I(v.as_f() as i64),
-    }
-}
-
-fn eval_ialu(op: IAluOp, a: i64, b: i64) -> Result<i64, VmError> {
-    Ok(match op {
-        IAluOp::Add => a.wrapping_add(b),
-        IAluOp::Sub => a.wrapping_sub(b),
-        IAluOp::Mul => a.wrapping_mul(b),
-        IAluOp::Div => {
-            if b == 0 {
-                return Err(VmError::Dispatch(
-                    "static division by zero during specialization".into(),
-                ));
-            }
-            a.wrapping_div(b)
-        }
-        IAluOp::Rem => {
-            if b == 0 {
-                return Err(VmError::Dispatch(
-                    "static remainder by zero during specialization".into(),
-                ));
-            }
-            a.wrapping_rem(b)
-        }
-        IAluOp::And => a & b,
-        IAluOp::Or => a | b,
-        IAluOp::Xor => a ^ b,
-        IAluOp::Shl => a.wrapping_shl(b as u32 & 63),
-        IAluOp::Shr => a.wrapping_shr(b as u32 & 63),
-    })
-}
-
-fn eval_falu(op: FAluOp, a: f64, b: f64) -> f64 {
-    match op {
-        FAluOp::Add => a + b,
-        FAluOp::Sub => a - b,
-        FAluOp::Mul => a * b,
-        FAluOp::Div => a / b,
-    }
-}
-
-fn eval_icmp(cc: Cc, a: i64, b: i64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
-    }
-}
-
-fn eval_fcmp(cc: Cc, a: f64, b: f64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
     }
 }
 

@@ -74,7 +74,7 @@ pub(crate) struct SpecEnv<'a> {
     /// Cost constants.
     pub costs: DynCosts,
     /// Where the specialization's meters go (the handler's own stats
-    /// and trace, plus a shared runtime's live and global sinks).
+    /// and trace, plus a shared runtime thread's slot and live wiring).
     pub sinks: Sinks<'a>,
     /// The dispatch point being specialized.
     pub point: u32,

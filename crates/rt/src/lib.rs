@@ -36,8 +36,10 @@
 //! an `Arc`-shared [`concurrent::SharedRuntime`] (sharded code cache,
 //! single-flight specialization, bounded eviction), so the same pipeline
 //! is callable from many threads. Every meter point of both goes through
-//! one call, whose table (in [`stats`]) decides what it counts and
-//! records.
+//! one call (in [`stats`]): it bumps the [`RtStats`] field the event's
+//! kind names and, in a [`ThreadRuntime`], the kind's count in the
+//! thread's slot, which the shared runtime's meters and the live
+//! registry both read.
 
 #![deny(missing_docs)]
 

@@ -547,8 +547,8 @@ impl Runtime {
         let mut sinks = Sinks {
             stats: &mut self.stats,
             trace: &mut self.trace,
+            slot: None,
             live: None,
-            global: None,
         };
         let mut host = LocalWarm {
             table: &mut store.table,

@@ -5,14 +5,14 @@
 //! dynamic-compilation overhead), and the §4.4.3 dispatch-cost analysis.
 //!
 //! Every metered event of the run-time system goes through one call,
-//! `note()`. The table in `meter` decides, per [`EventKind`], which
-//! [`RtStats`] field, which global atomic (the
-//! [`ConcSnapshot`](crate::ConcSnapshot) meters) and which
-//! [`LiveMetric`]s the call bumps, and whether the event is recorded in
-//! the live flight ring as well as in the trace.
+//! `note()`. It counts the event once, by kind, in the thread's
+//! [`LiveSlot`] — the counts the [`ConcSnapshot`](crate::ConcSnapshot)
+//! meters and the live registry are both read from — and bumps the
+//! [`RtStats`] field the kind names (`RtStats::field`). It records the
+//! event in the trace when tracing is on, and in the flight ring when
+//! one is attached and the kind is rung ([`EventKind::ringed`]).
 
-use dyc_obs::{EventKind, LiveMetric, LiveThread, Trace};
-use std::sync::atomic::{AtomicU64, Ordering};
+use dyc_obs::{EventKind, LiveSlot, LiveThread, Trace};
 
 /// Counters accumulated by the run-time system.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -239,142 +239,64 @@ impl RtStats {
     }
 }
 
-/// A counter one meter point bumps by one: an [`RtStats`] field, a
-/// [`ConcStats`] atomic, or both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Counter {
-    Specializations,
-    FlightWaits,
-    FlightFallbacks,
-    FlightRaces,
-    Evictions,
-    Invalidations,
-    GenericContinuations,
-    WarmLoads,
-    WarmRejects,
-    NativeInstalls,
-    NativeFallbacks,
-    PolicyDefers,
-    PolicyPromotes,
-    PolicyThrottles,
-    InternalPromotions,
-    FlightStales,
-}
-
-/// Number of [`Counter`]s.
-const N_COUNTERS: usize = 16;
-
 impl RtStats {
-    /// The field `c` names, if this struct has one (races, stale handles
-    /// and generic continuations are shared-runtime meters only).
-    fn field(&mut self, c: Counter) -> Option<&mut u64> {
-        Some(match c {
-            Counter::Specializations => &mut self.specializations,
-            Counter::FlightWaits => &mut self.single_flight_waits,
-            Counter::FlightFallbacks => &mut self.single_flight_fallbacks,
-            Counter::Evictions => &mut self.cache_evictions,
-            Counter::Invalidations => &mut self.cache_invalidations,
-            Counter::WarmLoads => &mut self.cache_warm_loads,
-            Counter::WarmRejects => &mut self.cache_warm_rejects,
-            Counter::NativeInstalls => &mut self.native_installs,
-            Counter::NativeFallbacks => &mut self.native_fallbacks,
-            Counter::PolicyDefers => &mut self.policy_defers,
-            Counter::PolicyPromotes => &mut self.policy_promotes,
-            Counter::PolicyThrottles => &mut self.policy_throttled,
-            Counter::InternalPromotions => &mut self.internal_promotions,
-            Counter::FlightRaces | Counter::FlightStales | Counter::GenericContinuations => {
-                return None
-            }
+    /// The field an event of `kind` bumps by one, if this struct has
+    /// one. A specialization counts here when it starts (a failed one
+    /// still counts); dispatches are counted per lane by the dispatch
+    /// core itself, and races, stale handles and generic continuations
+    /// are shared-runtime meters only.
+    pub(crate) fn field(&mut self, kind: EventKind) -> Option<&mut u64> {
+        use EventKind as K;
+        Some(match kind {
+            K::GeExecBegin => &mut self.specializations,
+            K::FlightWait => &mut self.single_flight_waits,
+            K::FlightFallback => &mut self.single_flight_fallbacks,
+            K::CacheEvict => &mut self.cache_evictions,
+            K::CacheInvalidate => &mut self.cache_invalidations,
+            K::Promotion => &mut self.internal_promotions,
+            K::CacheWarmLoad => &mut self.cache_warm_loads,
+            K::CacheWarmReject => &mut self.cache_warm_rejects,
+            K::NativeInstall => &mut self.native_installs,
+            K::NativeFallback => &mut self.native_fallbacks,
+            K::PolicyDefer => &mut self.policy_defers,
+            K::PolicyPromote => &mut self.policy_promotes,
+            K::PolicyThrottle => &mut self.policy_throttled,
+            K::DispatchHit
+            | K::DispatchMiss
+            | K::DispatchUnchecked
+            | K::DispatchIndexed
+            | K::GeExecEnd
+            | K::TemplateCopy
+            | K::HolePatch
+            | K::FlightRace
+            | K::FlightStale
+            | K::GenericBuild => return None,
         })
     }
 }
 
-/// The process-wide meters of a shared runtime: one relaxed atomic per
-/// [`Counter`], summed over every thread (per-thread meters live in each
-/// handler's [`RtStats`]).
-#[derive(Debug, Default)]
-pub(crate) struct ConcStats([AtomicU64; N_COUNTERS]);
-
-impl ConcStats {
-    /// Current value of one meter.
-    pub(crate) fn get(&self, c: Counter) -> u64 {
-        self.0[c as usize].load(Ordering::Relaxed)
-    }
-}
-
-/// What one meter point writes besides the trace (every event kind is
-/// recorded by the handler's [`Trace`] when it is on).
-struct Meter {
-    /// [`RtStats`] counter bumped by one.
-    rt: Option<Counter>,
-    /// [`ConcStats`] atomic bumped by one (shared runtimes only).
-    conc: Option<Counter>,
-    /// Live counters bumped by one (threads with telemetry attached).
-    live: &'static [LiveMetric],
-    /// Also recorded by the live flight ring, when one is attached.
-    ring: bool,
-}
-
-/// The meter table: one row per [`EventKind`].
-#[inline(always)]
-fn meter(kind: EventKind) -> Meter {
-    use Counter as C;
-    use EventKind as K;
-    use LiveMetric as L;
-    let row = |rt, conc, live, ring| Meter {
-        rt,
-        conc,
-        live,
-        ring,
-    };
-    let both = |c, live, ring| row(Some(c), Some(c), live, ring);
-    match kind {
-        K::DispatchHit | K::DispatchUnchecked | K::DispatchIndexed => {
-            row(None, None, &[L::Dispatches, L::Hits], false)
-        }
-        K::DispatchMiss => row(None, None, &[L::Dispatches, L::Misses], true),
-        K::FlightWait => both(C::FlightWaits, &[L::FlightWaits], true),
-        K::FlightFallback => both(C::FlightFallbacks, &[L::FlightFallbacks], true),
-        K::FlightRace => row(None, Some(C::FlightRaces), &[L::FlightRaces], true),
-        K::FlightStale => row(None, Some(C::FlightStales), &[], true),
-        // A specialization counts per thread when it starts (a failed one
-        // still counts) and globally when it finishes.
-        K::GeExecBegin => row(Some(C::Specializations), None, &[], true),
-        K::GeExecEnd => row(None, Some(C::Specializations), &[L::Specializations], true),
-        K::TemplateCopy | K::HolePatch => row(None, None, &[], false),
-        K::CacheEvict => both(C::Evictions, &[L::Evictions], true),
-        K::CacheInvalidate => both(C::Invalidations, &[], false),
-        K::Promotion => row(Some(C::InternalPromotions), None, &[], false),
-        K::CacheWarmLoad => both(C::WarmLoads, &[], false),
-        K::CacheWarmReject => both(C::WarmRejects, &[], false),
-        K::GenericBuild => row(None, Some(C::GenericContinuations), &[], true),
-        K::NativeInstall => both(C::NativeInstalls, &[], true),
-        K::NativeFallback => both(C::NativeFallbacks, &[], true),
-        K::PolicyDefer => both(C::PolicyDefers, &[L::PolicyDefers], true),
-        K::PolicyPromote => both(C::PolicyPromotes, &[L::PolicyPromotes], true),
-        K::PolicyThrottle => both(C::PolicyThrottles, &[L::PolicyThrottles], true),
-    }
-}
-
 /// Everything one meter point can write to. A single-threaded runtime
-/// has no live or global sinks; a shared runtime's own (thread-less)
-/// meter points pass a scratch [`RtStats`] and an off [`Trace`].
+/// has no slot and no live wiring; a shared runtime's own (thread-less)
+/// meter points pass the runtime's slot, a scratch [`RtStats`] and an
+/// off [`Trace`].
 pub(crate) struct Sinks<'a> {
     /// The handler's counters.
     pub stats: &'a mut RtStats,
     /// The handler's event recorder.
     pub trace: &'a mut Trace,
-    /// The thread's live-telemetry handle, when attached.
+    /// The per-kind counts of a shared runtime's thread (or of the
+    /// shared runtime itself).
+    pub slot: Option<&'a LiveSlot>,
+    /// The thread's live-telemetry wiring, when attached.
     pub live: Option<&'a LiveThread>,
-    /// The shared runtime's global meters.
-    pub global: Option<&'a ConcStats>,
 }
 
 impl Sinks<'_> {
-    /// The meter point: bump the counters `kind`'s row names and record
-    /// the event where its row says so. The key words are hashed at most
-    /// once, and only when the event is actually recorded. Always inlined,
-    /// so a warm hit with telemetry and tracing off costs a few branches.
+    /// The meter point: count `kind` in the slot and in its [`RtStats`]
+    /// field, and record the event where it is recorded. The key words
+    /// are hashed at most once, and only when the event is actually
+    /// recorded. Always inlined, so a warm hit with telemetry and
+    /// tracing off costs a relaxed add and a few branches.
     #[inline(always)]
     pub(crate) fn note(
         &mut self,
@@ -385,50 +307,38 @@ impl Sinks<'_> {
         a: u64,
         b: u64,
     ) {
-        let m = meter(kind);
-        if let Some(f) = m.rt.and_then(|c| self.stats.field(c)) {
+        if let Some(f) = self.stats.field(kind) {
             *f += 1;
         }
-        if let (Some(c), Some(g)) = (m.conc, self.global) {
-            g.0[c as usize].fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = self.slot {
+            s.add(kind, 1);
         }
         if self.live.is_some() || self.trace.is_on() {
-            self.record(kind, &m, site, key_words, cycle, a, b);
+            self.record(kind, site, key_words, cycle, a, b);
         }
     }
 
     /// The live and recording half of [`Sinks::note`].
-    #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
         kind: EventKind,
-        m: &Meter,
         site: u32,
         key_words: &[u64],
         cycle: u64,
         a: u64,
         b: u64,
     ) {
-        let ring = match self.live {
-            Some(l) => {
-                for &lm in m.live {
-                    l.slot.add(lm, 1);
-                }
-                if kind == EventKind::GeExecEnd {
-                    // Per-site specialization economics for the
-                    // sampler's break-even-drift window.
-                    l.registry.note_spec(site, a);
-                }
-                l.ring.as_deref().filter(|_| m.ring)
+        let ring = self.live.and_then(|l| {
+            if kind == EventKind::GeExecEnd {
+                // Per-site specialization economics for the sampler's
+                // break-even-drift window.
+                l.registry.note_spec(site, a);
             }
-            None => None,
-        };
-        let traced = self.trace.is_on();
-        if traced || ring.is_some() {
+            l.ring.as_deref().filter(|_| kind.ringed())
+        });
+        if self.trace.is_on() || ring.is_some() {
             let key = dyc_obs::key_hash(key_words);
-            if traced {
-                self.trace.rec(kind, site, key, cycle, a, b);
-            }
+            self.trace.rec(kind, site, key, cycle, a, b);
             if let Some(r) = ring {
                 r.record(kind, site, key, cycle, a, b);
             }
@@ -519,6 +429,57 @@ mod tests {
         let names: Vec<&str> = s.counters().iter().map(|(n, _)| *n).collect();
         for meter in ["policy_defers", "policy_promotes", "policy_throttled"] {
             assert!(names.contains(&meter), "{meter} missing from counters()");
+        }
+    }
+
+    #[test]
+    fn note_counts_each_kind_once_in_its_slot_and_field() {
+        use EventKind as K;
+        // The RtStats field each kind bumps; the other kinds bump none.
+        let fields = [
+            (K::GeExecBegin, "specializations"),
+            (K::FlightWait, "single_flight_waits"),
+            (K::FlightFallback, "single_flight_fallbacks"),
+            (K::CacheEvict, "cache_evictions"),
+            (K::CacheInvalidate, "cache_invalidations"),
+            (K::Promotion, "internal_promotions"),
+            (K::CacheWarmLoad, "cache_warm_loads"),
+            (K::CacheWarmReject, "cache_warm_rejects"),
+            (K::NativeInstall, "native_installs"),
+            (K::NativeFallback, "native_fallbacks"),
+            (K::PolicyDefer, "policy_defers"),
+            (K::PolicyPromote, "policy_promotes"),
+            (K::PolicyThrottle, "policy_throttled"),
+        ];
+        for kind in dyc_obs::ALL_KINDS {
+            let (mut stats, mut trace, slot) = (RtStats::new(), Trace::off(), LiveSlot::new());
+            let mut sinks = Sinks {
+                stats: &mut stats,
+                trace: &mut trace,
+                slot: Some(&slot),
+                live: None,
+            };
+            sinks.note(kind, 0, &[], 0, 0, 0);
+            let counts = slot.counts();
+            for k in dyc_obs::ALL_KINDS {
+                assert_eq!(
+                    counts.get(k),
+                    u64::from(k == kind),
+                    "{kind:?} counted as {k:?}"
+                );
+            }
+            let bumped: Vec<&str> = stats
+                .counters()
+                .into_iter()
+                .filter(|&(_, v)| v != 0)
+                .map(|(n, _)| n)
+                .collect();
+            let want: Vec<&str> = fields
+                .iter()
+                .filter(|(k, _)| *k == kind)
+                .map(|(_, n)| *n)
+                .collect();
+            assert_eq!(bumped, want, "{kind:?}");
         }
     }
 

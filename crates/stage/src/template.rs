@@ -56,7 +56,8 @@ use crate::ge::{GeDivision, GeFunc, GeOp};
 use dyc_bta::OptConfig;
 use dyc_ir::inst::{Callee, Inst};
 use dyc_ir::VReg;
-use dyc_vm::{Cc, FAluOp, FuncId, IAluOp, Instr, Operand, UnOp};
+use dyc_vm::interp::{falu, fcmp, ialu, icmp};
+use dyc_vm::{FAluOp, FuncId, IAluOp, Instr, Operand, UnOp};
 use std::collections::{BTreeSet, HashMap};
 
 /// Where a patch writes inside a template instruction.
@@ -374,62 +375,6 @@ fn plan_fold_to(
     true
 }
 
-fn eval_ialu(op: IAluOp, a: i64, b: i64) -> Option<i64> {
-    Some(match op {
-        IAluOp::Add => a.wrapping_add(b),
-        IAluOp::Sub => a.wrapping_sub(b),
-        IAluOp::Mul => a.wrapping_mul(b),
-        IAluOp::Div => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_div(b)
-        }
-        IAluOp::Rem => {
-            if b == 0 {
-                return None;
-            }
-            a.wrapping_rem(b)
-        }
-        IAluOp::And => a & b,
-        IAluOp::Or => a | b,
-        IAluOp::Xor => a ^ b,
-        IAluOp::Shl => a.wrapping_shl(b as u32 & 63),
-        IAluOp::Shr => a.wrapping_shr(b as u32 & 63),
-    })
-}
-
-fn eval_falu(op: FAluOp, a: f64, b: f64) -> f64 {
-    match op {
-        FAluOp::Add => a + b,
-        FAluOp::Sub => a - b,
-        FAluOp::Mul => a * b,
-        FAluOp::Div => a / b,
-    }
-}
-
-fn eval_icmp(cc: Cc, a: i64, b: i64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
-    }
-}
-
-fn eval_fcmp(cc: Cc, a: f64, b: f64) -> bool {
-    match cc {
-        Cc::Eq => a == b,
-        Cc::Ne => a != b,
-        Cc::Lt => a < b,
-        Cc::Le => a <= b,
-        Cc::Gt => a > b,
-        Cc::Ge => a >= b,
-    }
-}
-
 fn eval_un(op: UnOp, v: AbsAlias) -> AbsAlias {
     match (op, v) {
         (UnOp::NegI, AbsAlias::LitI(i)) => AbsAlias::LitI(i.wrapping_neg()),
@@ -591,7 +536,7 @@ fn plan_emit_hole(
                 // Both operands constant: the unfused path folds on their
                 // run-time values.
                 if let (AOp::KiLit(x), AOp::KiLit(y)) = (ra, rb) {
-                    if let Some(v) = eval_ialu(*op, x, y) {
+                    if let Ok(v) = ialu(*op, x, y) {
                         plan_fold_to(*dst, AbsAlias::LitI(v), zcp, ren, &mut plan)
                     } else {
                         // Division by zero falls through to scratch
@@ -735,13 +680,7 @@ fn plan_emit_hole(
             let b_k = !rb.is_r();
             if a_k && b_k {
                 if let (AOp::KfLit(x), AOp::KfLit(y)) = (ra, rb) {
-                    plan_fold_to(
-                        *dst,
-                        AbsAlias::LitF(eval_falu(*op, x, y)),
-                        zcp,
-                        ren,
-                        &mut plan,
-                    )
+                    plan_fold_to(*dst, AbsAlias::LitF(falu(*op, x, y)), zcp, ren, &mut plan)
                 } else {
                     // The fold always fires on two constants, so the
                     // entry definitely exists — its value is just unknown.
@@ -814,7 +753,7 @@ fn plan_emit_hole(
                 if let (AOp::KiLit(x), AOp::KiLit(y)) = (ra, rb) {
                     plan_fold_to(
                         *dst,
-                        AbsAlias::LitI(eval_icmp(*cc, x, y) as i64),
+                        AbsAlias::LitI(icmp(*cc, x, y) as i64),
                         zcp,
                         ren,
                         &mut plan,
@@ -916,7 +855,7 @@ fn plan_emit_hole(
                 if let (AOp::KfLit(x), AOp::KfLit(y)) = (ra, rb) {
                     plan_fold_to(
                         *dst,
-                        AbsAlias::LitI(eval_fcmp(*cc, x, y) as i64),
+                        AbsAlias::LitI(fcmp(*cc, x, y) as i64),
                         zcp,
                         ren,
                         &mut plan,

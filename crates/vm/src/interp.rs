@@ -536,8 +536,14 @@ fn operand_i(regs: &[Value], op: Operand) -> i64 {
     }
 }
 
+/// The machine's integer ALU: wrapping arithmetic, shift counts taken
+/// mod 64, and [`VmError::DivideByZero`] for a zero divisor. The one
+/// definition the interpreter, the dynamic compiler's static
+/// computations and both constant folders use (the folders keep a fault
+/// unfolded, for the code to raise at run time); only the reference
+/// evaluator in `dyc-lang`, an independent oracle, has its own.
 #[inline]
-fn ialu(op: IAluOp, a: i64, b: i64) -> Result<i64, VmError> {
+pub fn ialu(op: IAluOp, a: i64, b: i64) -> Result<i64, VmError> {
     Ok(match op {
         IAluOp::Add => a.wrapping_add(b),
         IAluOp::Sub => a.wrapping_sub(b),
@@ -562,8 +568,9 @@ fn ialu(op: IAluOp, a: i64, b: i64) -> Result<i64, VmError> {
     })
 }
 
+/// The machine's floating-point ALU (IEEE 754 double arithmetic).
 #[inline]
-fn falu(op: FAluOp, a: f64, b: f64) -> f64 {
+pub fn falu(op: FAluOp, a: f64, b: f64) -> f64 {
     match op {
         FAluOp::Add => a + b,
         FAluOp::Sub => a - b,
@@ -572,8 +579,9 @@ fn falu(op: FAluOp, a: f64, b: f64) -> f64 {
     }
 }
 
+/// Signed integer comparison under `cc`.
 #[inline]
-fn icmp(cc: Cc, a: i64, b: i64) -> bool {
+pub fn icmp(cc: Cc, a: i64, b: i64) -> bool {
     match cc {
         Cc::Eq => a == b,
         Cc::Ne => a != b,
@@ -584,8 +592,9 @@ fn icmp(cc: Cc, a: i64, b: i64) -> bool {
     }
 }
 
+/// Floating-point comparison under `cc` (false on NaN, except `Ne`).
 #[inline]
-fn fcmp(cc: Cc, a: f64, b: f64) -> bool {
+pub fn fcmp(cc: Cc, a: f64, b: f64) -> bool {
     match cc {
         Cc::Eq => a == b,
         Cc::Ne => a != b,
@@ -596,8 +605,9 @@ fn fcmp(cc: Cc, a: f64, b: f64) -> bool {
     }
 }
 
+/// The machine's unary operations.
 #[inline]
-fn unop(op: UnOp, v: Value) -> Value {
+pub fn unop(op: UnOp, v: Value) -> Value {
     match op {
         UnOp::NegI => Value::I(v.as_i().wrapping_neg()),
         UnOp::NotI => Value::I(!v.as_i()),

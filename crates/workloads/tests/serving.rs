@@ -9,7 +9,7 @@
 //! 10^6–10^8 dispatches; this file pins the behavior CI can afford.
 
 use dyc::obs::{
-    Json, LatencyHistogram, LiveHandles, LiveMetric, Sampler, SamplerConfig, Watchdog,
+    EventKind, Json, LatencyHistogram, LiveHandles, Sampler, SamplerConfig, Watchdog,
     WatchdogConfig,
 };
 use dyc::{Compiler, CostModel, SharedOptions, SharedRuntime, Value};
@@ -239,13 +239,19 @@ fn sampled_replay_is_observer_effect_free() {
             base.snapshot.specializations, sampled.snapshot.specializations,
             "{p}: sampling changed the specialization count"
         );
-        // The live counters are a second, independently-fed view of the
-        // sampled run's meters — they must agree exactly.
-        assert_eq!(snap.get(LiveMetric::Dispatches), sampled.dispatches, "{p}");
-        assert_eq!(snap.get(LiveMetric::Hits), sampled.hits, "{p}: hits");
-        assert_eq!(snap.get(LiveMetric::Misses), sampled.misses, "{p}: misses");
+        // The live counts are the runtime's own per-kind counts, read
+        // through the registry — they must agree exactly with the
+        // sampled run's meters.
+        let live = &snap.counts;
+        assert_eq!(live.dispatches(), sampled.dispatches, "{p}");
+        assert_eq!(live.hits(), sampled.hits, "{p}: hits");
         assert_eq!(
-            snap.get(LiveMetric::Specializations),
+            live.get(EventKind::DispatchMiss),
+            sampled.misses,
+            "{p}: misses"
+        );
+        assert_eq!(
+            live.get(EventKind::GeExecEnd),
             sampled.snapshot.specializations,
             "{p}: live specializations"
         );

@@ -246,18 +246,40 @@ fn deep_static_call_chains_execute_at_compile_time() {
 
 #[test]
 fn region_faults_surface_as_dispatch_errors() {
-    // A static division by zero happens at specialization time.
-    let src = "int f(int k, int d) { make_static(k); return d / (100 / k); }";
-    let p = Compiler::new().compile(src).unwrap();
-    let mut d = p.dynamic_session();
-    // k = 200 makes 100 / k == 0 at *run* time (dynamic divide), but
-    // 100 / k itself is static: it executes during specialization and is
-    // fine (== 0); the residual d / 0 faults at run time.
-    let err = d.run("f", &[Value::I(200), Value::I(5)]).unwrap_err();
-    assert_eq!(err, dyc::VmError::DivideByZero);
-    // k = 0 faults inside the specializer (static 100 / 0).
-    let err = d.run("f", &[Value::I(0), Value::I(5)]).unwrap_err();
-    assert!(matches!(err, dyc::VmError::Dispatch(_)), "{err:?}");
+    // The inner `100 op k` is static: a dynamic session computes it while
+    // specializing, the static build when the call runs. Either way a
+    // zero divisor is the machine's `DivideByZero`, in every session.
+    for (op, k_run) in [("/", 200), ("%", 50)] {
+        let src = format!("int f(int k, int d) {{ make_static(k); return d {op} (100 {op} k); }}");
+        let check = |mut sess: Session, what: &str| {
+            // 100 op k_run == 0 is fine; the residual d op 0 faults when
+            // the code runs.
+            let err = sess.run("f", &[Value::I(k_run), Value::I(5)]);
+            assert_eq!(err, Err(VmError::DivideByZero), "{what} {op}: run time");
+            // k = 0: the static 100 op 0 faults.
+            let err = sess.run("f", &[Value::I(0), Value::I(5)]);
+            assert_eq!(err, Err(VmError::DivideByZero), "{what} {op}: static");
+            // The session still runs: 71 op (100 op 7).
+            let want = if op == "/" { 71 / 14 } else { 71 % 2 };
+            assert_eq!(
+                sess.run("f", &[Value::I(7), Value::I(71)]),
+                Ok(Some(Value::I(want))),
+                "{what} {op}"
+            );
+        };
+        let program = Compiler::new().compile(&src).unwrap();
+        check(program.static_session(), "static");
+        check(program.dynamic_session(), "dynamic");
+        let shared = program.shared_runtime();
+        check(program.threaded_session(&shared), "threaded");
+        let native = Compiler::with_config(OptConfig {
+            native: true,
+            ..OptConfig::all()
+        })
+        .compile(&src)
+        .unwrap();
+        check(native.dynamic_session(), "native");
+    }
 }
 
 #[test]
