@@ -363,8 +363,9 @@ impl ServeReport {
     /// * every cache lookup is a dispatch, a winner's/racer's post-lock
     ///   re-probe, or the re-probe of a dispatch whose code another
     ///   thread evicted (and whose registry slot it freed) before this
-    ///   thread could copy it. Such a dispatch may miss twice, and then
-    ///   counts as two misses.
+    ///   thread could copy it. Such a dispatch still misses at most
+    ///   once: if its re-probe misses after it already missed, it runs
+    ///   the generic continuation.
     ///
     /// # Errors
     ///

@@ -8,15 +8,20 @@
 //! dispatch-cost analysis of §4.4.3 (~90 cycles per hashed dispatch,
 //! rising to ~150 under collisions as in mipsi) can be reproduced.
 //!
-//! The table is generic over its value type: single-threaded dispatch
-//! stores [`FuncId`]s directly, while the sharded concurrent cache
-//! ([`crate::concurrent`]) stores registry handles. Deletion (needed by
-//! the bounded `cache_all(k)` eviction policy) uses tombstones so probe
-//! chains through deleted slots stay intact.
+//! The table is generic over its value type and its hash scheme
+//! ([`Probing`]): single-threaded dispatch stores [`FuncId`]s under DyC's
+//! scheme ([`Fnv`], whose probe counts the cycle model charges), while
+//! the sharded concurrent cache ([`crate::concurrent`]) stores registry
+//! handles under [`Mixed`], whose one hash also picks the shard. A key
+//! of up to [`INLINE_KEY_WORDS`] words lives inside its slot; a longer
+//! one is boxed. Deletion (needed by the bounded `cache_all(k)` eviction
+//! policy) uses tombstones so probe chains through deleted slots stay
+//! intact.
 //!
 //! A bounded site picks what to evict with one second-chance clock
 //! (`EvictCtl`), the same in both code stores.
 
+use crate::fnv;
 use crate::policy::PolicyEngine;
 use dyc_vm::FuncId;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,6 +56,106 @@ pub enum CacheEntry<V = FuncId> {
     },
 }
 
+/// Where a key's probe sequence starts and how it steps: a table's hash
+/// scheme. The start slot is the hash's low bits; the step is odd, so
+/// it is coprime with the power-of-two table size and a probe sequence
+/// visits every slot. Only a lookup whose first probe misses computes
+/// the step.
+pub trait Probing {
+    /// The key's hash.
+    fn hash(key: &[u64]) -> u64;
+    /// The probe step for `key`, whose hash is `hash`, in a table of `m`
+    /// slots.
+    fn step(key: &[u64], hash: u64, m: usize) -> usize;
+}
+
+/// DyC's scheme, the single-threaded store's: the start slot is the low
+/// bits of an FNV-1a fold of the key words, the step an independent fold.
+/// Its probe counts are the ones the §4.4.3 cycle model charges. Keys
+/// that differ only in their high bits (float keys) share start slots.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv;
+
+impl Probing for Fnv {
+    #[inline]
+    fn hash(key: &[u64]) -> u64 {
+        fnv::fold(key)
+    }
+
+    #[inline]
+    fn step(key: &[u64], _hash: u64, m: usize) -> usize {
+        let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
+        for w in key {
+            h = h.rotate_left(13) ^ w.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        }
+        ((h as usize) & (m - 1)) | 1
+    }
+}
+
+/// The shared cache's scheme: FNV-1a finished with murmur3's `fmix64`,
+/// so every bit of the hash depends on every bit of the key. The
+/// sharded cache hashes a key once per operation and takes the shard
+/// from the top bits; the start slot is the bottom bits and the step the
+/// bits from 32 up.
+#[derive(Debug, Clone, Copy)]
+pub struct Mixed;
+
+impl Probing for Mixed {
+    #[inline]
+    fn hash(key: &[u64]) -> u64 {
+        fnv::finalized(key)
+    }
+
+    #[inline]
+    fn step(_key: &[u64], hash: u64, m: usize) -> usize {
+        (((hash >> 32) as usize) & (m - 1)) | 1
+    }
+}
+
+/// Key words a slot stores inline. The shared cache's key for a site
+/// with one promoted value (`[site, value]`, `serve`'s) fits, as does
+/// the single-threaded store's key for a site with up to two; a longer
+/// key is boxed.
+pub const INLINE_KEY_WORDS: usize = 2;
+
+/// A cached key, inside its slot when it is short.
+#[derive(Debug, Clone, PartialEq)]
+enum SlotKey {
+    /// The key's length and its words, zero-padded.
+    Inline(u8, [u64; INLINE_KEY_WORDS]),
+    Boxed(Box<[u64]>),
+}
+
+impl SlotKey {
+    fn new(key: &[u64]) -> SlotKey {
+        if key.len() <= INLINE_KEY_WORDS {
+            let mut words = [0; INLINE_KEY_WORDS];
+            words[..key.len()].copy_from_slice(key);
+            SlotKey::Inline(key.len() as u8, words)
+        } else {
+            SlotKey::Boxed(key.into())
+        }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            SlotKey::Inline(n, words) => &words[..*n as usize],
+            SlotKey::Boxed(words) => words,
+        }
+    }
+
+    /// `self == key`, word by word for an inline key.
+    #[inline]
+    fn matches(&self, key: &[u64]) -> bool {
+        match self {
+            SlotKey::Inline(n, words) => {
+                *n as usize == key.len() && words.iter().zip(key).all(|(a, b)| a == b)
+            }
+            SlotKey::Boxed(words) => **words == *key,
+        }
+    }
+}
+
 /// One open-addressed slot. `Tomb` marks a deleted entry: probes continue
 /// through it (the chain may have been built around the dead key) but
 /// inserts may reuse it.
@@ -58,11 +163,12 @@ pub enum CacheEntry<V = FuncId> {
 enum Slot<V> {
     Empty,
     Tomb,
-    Full(Vec<u64>, V),
+    Full(SlotKey, V),
 }
 
 /// An open-addressing hash table with double hashing, keyed by the values
-/// of the static variables at a promotion point.
+/// of the static variables at a promotion point, under the hash scheme
+/// `P`.
 ///
 /// # Examples
 ///
@@ -72,7 +178,7 @@ enum Slot<V> {
 ///
 /// let mut c = DoubleHashCache::new();
 /// assert_eq!(c.lookup(&[42]).value, None);          // miss
-/// c.insert(vec![42], FuncId(7));
+/// c.insert(&[42], FuncId(7));
 /// assert_eq!(c.lookup(&[42]).value, Some(FuncId(7))); // hit
 /// assert_eq!(c.remove(&[42]), Some(FuncId(7)));     // evict
 /// assert_eq!(c.lookup(&[42]).value, None);
@@ -81,7 +187,7 @@ enum Slot<V> {
 /// assert!(c.mean_probes() >= 1.0);
 /// ```
 #[derive(Debug, Clone)]
-pub struct DoubleHashCache<V = FuncId> {
+pub struct DoubleHashCache<V = FuncId, P = Fnv> {
     slots: Vec<Slot<V>>,
     len: usize,
     /// Tombstones currently in the table (count toward the load factor so
@@ -91,20 +197,18 @@ pub struct DoubleHashCache<V = FuncId> {
     pub total_probes: u64,
     /// Total lookups.
     pub lookups: u64,
+    scheme: std::marker::PhantomData<P>,
 }
 
 impl<V: Copy> DoubleHashCache<V> {
-    /// An empty cache with a small initial capacity.
+    /// An empty cache under DyC's scheme, [`Fnv`], with a small initial
+    /// capacity. ([`Default`] makes one under any scheme.)
     pub fn new() -> DoubleHashCache<V> {
-        DoubleHashCache {
-            slots: (0..16).map(|_| Slot::Empty).collect(),
-            len: 0,
-            tombs: 0,
-            total_probes: 0,
-            lookups: 0,
-        }
+        DoubleHashCache::default()
     }
+}
 
+impl<V: Copy, P: Probing> DoubleHashCache<V, P> {
     /// Number of cached specializations.
     pub fn len(&self) -> usize {
         self.len
@@ -123,63 +227,60 @@ impl<V: Copy> DoubleHashCache<V> {
     // The slot table's size `m` starts at 16 and grows only by doubling, so
     // every reduction mod `m` is a mask with `m - 1`.
 
-    fn h1(key: &[u64], m: usize) -> usize {
-        debug_assert!(m.is_power_of_two());
-        // FNV-style fold of the key words.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in key {
-            h ^= *w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h as usize) & (m - 1)
-    }
-
-    fn h2(key: &[u64], m: usize) -> usize {
-        debug_assert!(m.is_power_of_two());
-        // Second hash must be odd so it is coprime with the power-of-two
-        // table size (guarantees a full probe cycle).
-        let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-        for w in key {
-            h = h.rotate_left(13) ^ w.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        }
-        ((h as usize) & (m - 1)) | 1
-    }
-
-    /// Probe for `key` without touching the meters — the shared-cache hit
-    /// path calls this under a read lock and accumulates the probe count
-    /// into per-shard atomics instead.
-    pub fn probe(&self, key: &[u64]) -> Probed<V> {
+    /// Walk the probe sequence of `key`, whose hash is `hash`: the slot
+    /// holding it (`Ok`), or else where it belongs (`Err`) — the first
+    /// tombstone on the path, or the empty slot that ended it — and the
+    /// slots inspected. A table full of other keys ends the walk after
+    /// `m + 1` probes with `Err(None)`, or the first tombstone.
+    #[inline]
+    fn seek(&self, key: &[u64], hash: u64) -> (Result<usize, Option<usize>>, u32) {
         let m = self.slots.len();
-        let start = Self::h1(key, m);
-        let step = Self::h2(key, m);
-        let mut idx = start;
+        debug_assert!(m.is_power_of_two());
+        let mut idx = (hash as usize) & (m - 1);
+        let mut step = 0;
+        let mut reuse = None;
         let mut probes = 0;
         loop {
             probes += 1;
             match &self.slots[idx] {
-                Slot::Empty => {
-                    return Probed {
-                        value: None,
-                        probes,
-                    }
-                }
-                Slot::Full(k, v) if k.as_slice() == key => {
-                    return Probed {
-                        value: Some(*v),
-                        probes,
-                    };
-                }
-                Slot::Full(..) | Slot::Tomb => {
-                    idx = (idx + step) & (m - 1);
-                    if probes as usize > m {
-                        // Table full of other keys; treat as a miss.
-                        return Probed {
-                            value: None,
-                            probes,
-                        };
-                    }
+                Slot::Empty => return (Err(Some(reuse.unwrap_or(idx))), probes),
+                Slot::Full(k, _) if k.matches(key) => return (Ok(idx), probes),
+                Slot::Full(..) => {}
+                Slot::Tomb => {
+                    reuse.get_or_insert(idx);
                 }
             }
+            if probes as usize > m {
+                return (Err(reuse), probes);
+            }
+            if step == 0 {
+                step = P::step(key, hash, m);
+            }
+            idx = (idx + step) & (m - 1);
+        }
+    }
+
+    fn value_at(&self, idx: usize) -> V {
+        match &self.slots[idx] {
+            Slot::Full(_, v) => *v,
+            _ => unreachable!("seek found a key in a slot that holds none"),
+        }
+    }
+
+    /// Probe for `key` without touching the meters — the shared cache
+    /// probes this way, with the key's hash already computed, and counts
+    /// the probes in the reading thread's own meters.
+    pub fn probe(&self, key: &[u64]) -> Probed<V> {
+        self.probe_hashed(key, P::hash(key))
+    }
+
+    /// [`DoubleHashCache::probe`] with `key`'s hash already computed.
+    #[inline]
+    pub(crate) fn probe_hashed(&self, key: &[u64], hash: u64) -> Probed<V> {
+        let (at, probes) = self.seek(key, hash);
+        Probed {
+            value: at.ok().map(|idx| self.value_at(idx)),
+            probes,
         }
     }
 
@@ -191,6 +292,14 @@ impl<V: Copy> DoubleHashCache<V> {
         p
     }
 
+    /// Grow (or compact) the table when one more entry would push the
+    /// load factor, tombstones included, over 0.5.
+    fn reserve_one(&mut self) {
+        if (self.len + self.tombs + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+    }
+
     /// Entry-style lookup: find `key` or reserve the slot where it would
     /// be inserted, hashing the key once. A dispatch miss followed by
     /// specialization calls [`DoubleHashCache::fill`] with the returned
@@ -200,86 +309,61 @@ impl<V: Copy> DoubleHashCache<V> {
     /// push the load factor over 0.5, so a reserved slot stays valid
     /// while the caller specializes.
     pub fn lookup_or_reserve(&mut self, key: &[u64]) -> CacheEntry<V> {
-        if (self.len + self.tombs + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
+        self.reserve_one();
         self.lookups += 1;
-        let m = self.slots.len();
-        let start = Self::h1(key, m);
-        let step = Self::h2(key, m);
-        let mut idx = start;
-        let mut probes = 0;
-        // First tombstone on the probe path: reused for the insert (the
-        // chain up to here already skips it, so lookups stay correct).
-        let mut reuse: Option<usize> = None;
-        loop {
-            probes += 1;
-            match &self.slots[idx] {
-                Slot::Empty => {
-                    self.total_probes += u64::from(probes);
-                    return CacheEntry::Vacant {
-                        slot: reuse.unwrap_or(idx),
-                        probes,
-                    };
-                }
-                Slot::Full(k, v) if k.as_slice() == key => {
-                    self.total_probes += u64::from(probes);
-                    return CacheEntry::Hit { value: *v, probes };
-                }
-                Slot::Tomb => {
-                    reuse.get_or_insert(idx);
-                    idx = (idx + step) & (m - 1);
-                }
-                Slot::Full(..) => idx = (idx + step) & (m - 1),
-            }
+        let (at, probes) = self.seek(key, P::hash(key));
+        self.total_probes += u64::from(probes);
+        match at {
+            Ok(idx) => CacheEntry::Hit {
+                value: self.value_at(idx),
+                probes,
+            },
+            Err(slot) => CacheEntry::Vacant {
+                slot: slot.expect("a table at most half full has an empty slot"),
+                probes,
+            },
         }
     }
 
     /// Fill a slot reserved by [`DoubleHashCache::lookup_or_reserve`].
-    pub fn fill(&mut self, slot: usize, key: Vec<u64>, value: V) {
+    /// A key of up to [`INLINE_KEY_WORDS`] words is stored without
+    /// allocating.
+    pub fn fill(&mut self, slot: usize, key: &[u64], value: V) {
         debug_assert!(
             !matches!(self.slots[slot], Slot::Full(..)),
             "slot already filled"
         );
-        if matches!(self.slots[slot], Slot::Tomb) {
+        self.place(slot, SlotKey::new(key), value);
+    }
+
+    /// Store `key` in the empty or tombstoned slot `at`.
+    fn place(&mut self, at: usize, key: SlotKey, value: V) {
+        if matches!(self.slots[at], Slot::Tomb) {
             self.tombs -= 1;
         }
-        self.slots[slot] = Slot::Full(key, value);
+        self.slots[at] = Slot::Full(key, value);
         self.len += 1;
     }
 
     /// Insert (or overwrite) a specialization for `key`, returning the
-    /// value it replaced.
-    pub fn insert(&mut self, key: Vec<u64>, value: V) -> Option<V> {
-        if (self.len + self.tombs + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let m = self.slots.len();
-        let start = Self::h1(&key, m);
-        let step = Self::h2(&key, m);
-        let mut idx = start;
-        let mut reuse: Option<usize> = None;
-        loop {
-            match &self.slots[idx] {
-                Slot::Empty => {
-                    let at = reuse.unwrap_or(idx);
-                    if matches!(self.slots[at], Slot::Tomb) {
-                        self.tombs -= 1;
-                    }
-                    self.slots[at] = Slot::Full(key, value);
-                    self.len += 1;
-                    return None;
-                }
-                Slot::Full(k, old) if *k == key => {
-                    let old = *old;
-                    self.slots[idx] = Slot::Full(key, value);
-                    return Some(old);
-                }
-                Slot::Tomb => {
-                    reuse.get_or_insert(idx);
-                    idx = (idx + step) & (m - 1);
-                }
-                Slot::Full(..) => idx = (idx + step) & (m - 1),
+    /// value it replaced. A key of up to [`INLINE_KEY_WORDS`] words is
+    /// stored without allocating.
+    pub fn insert(&mut self, key: &[u64], value: V) -> Option<V> {
+        self.insert_hashed(key, P::hash(key), value)
+    }
+
+    /// [`DoubleHashCache::insert`] with `key`'s hash already computed.
+    pub(crate) fn insert_hashed(&mut self, key: &[u64], hash: u64, value: V) -> Option<V> {
+        self.reserve_one();
+        match self.seek(key, hash).0 {
+            Ok(idx) => match &mut self.slots[idx] {
+                Slot::Full(_, old) => Some(std::mem::replace(old, value)),
+                _ => unreachable!("seek found a key in a slot that holds none"),
+            },
+            Err(at) => {
+                let at = at.expect("a table at most half full has an empty slot");
+                self.place(at, SlotKey::new(key), value);
+                None
             }
         }
     }
@@ -288,30 +372,17 @@ impl<V: Copy> DoubleHashCache<V> {
     /// tombstone (probe chains through it are preserved); tombstones are
     /// purged wholesale on the next rehash.
     pub fn remove(&mut self, key: &[u64]) -> Option<V> {
-        let m = self.slots.len();
-        let start = Self::h1(key, m);
-        let step = Self::h2(key, m);
-        let mut idx = start;
-        let mut probes = 0usize;
-        loop {
-            probes += 1;
-            match &self.slots[idx] {
-                Slot::Empty => return None,
-                Slot::Full(k, v) if k.as_slice() == key => {
-                    let v = *v;
-                    self.slots[idx] = Slot::Tomb;
-                    self.len -= 1;
-                    self.tombs += 1;
-                    return Some(v);
-                }
-                Slot::Full(..) | Slot::Tomb => {
-                    idx = (idx + step) & (m - 1);
-                    if probes > m {
-                        return None;
-                    }
-                }
-            }
-        }
+        self.remove_hashed(key, P::hash(key))
+    }
+
+    /// [`DoubleHashCache::remove`] with `key`'s hash already computed.
+    pub(crate) fn remove_hashed(&mut self, key: &[u64], hash: u64) -> Option<V> {
+        let idx = self.seek(key, hash).0.ok()?;
+        let v = self.value_at(idx);
+        self.slots[idx] = Slot::Tomb;
+        self.len -= 1;
+        self.tombs += 1;
+        Some(v)
     }
 
     /// Drop every cached entry (capacity is kept). The probe meters are
@@ -340,6 +411,8 @@ impl<V: Copy> DoubleHashCache<V> {
         })
     }
 
+    /// Rehash into a fresh slot table, moving each key (inline or boxed)
+    /// into its new slot without copying its words.
     fn grow(&mut self) {
         // Rehashing drops tombstones; only double if the *live* entries
         // actually crowd the table (eviction churn alone just compacts).
@@ -356,7 +429,9 @@ impl<V: Copy> DoubleHashCache<V> {
         self.tombs = 0;
         for e in old {
             if let Slot::Full(k, v) = e {
-                self.insert(k, v);
+                let (at, _) = self.seek(k.as_slice(), P::hash(k.as_slice()));
+                let at = at.expect_err("rehashed keys are distinct");
+                self.place(at.expect("the new table has room"), k, v);
             }
         }
     }
@@ -371,9 +446,16 @@ impl<V: Copy> DoubleHashCache<V> {
     }
 }
 
-impl<V: Copy> Default for DoubleHashCache<V> {
+impl<V: Copy, P: Probing> Default for DoubleHashCache<V, P> {
     fn default() -> Self {
-        DoubleHashCache::new()
+        DoubleHashCache {
+            slots: (0..16).map(|_| Slot::Empty).collect(),
+            len: 0,
+            tombs: 0,
+            total_probes: 0,
+            lookups: 0,
+            scheme: std::marker::PhantomData,
+        }
     }
 }
 
@@ -503,7 +585,7 @@ mod tests {
         let mut c = DoubleHashCache::new();
         let key = vec![1, 2, 3];
         assert!(c.lookup(&key).value.is_none());
-        c.insert(key.clone(), FuncId(7));
+        c.insert(&key, FuncId(7));
         assert_eq!(c.lookup(&key).value, Some(FuncId(7)));
         assert_eq!(c.len(), 1);
     }
@@ -521,7 +603,7 @@ mod tests {
     fn distinct_keys_do_not_collide_logically() {
         let mut c = DoubleHashCache::new();
         for i in 0..100u64 {
-            c.insert(vec![i, i * 31], FuncId(i as u32));
+            c.insert(&[i, i * 31], FuncId(i as u32));
         }
         for i in 0..100u64 {
             assert_eq!(
@@ -536,8 +618,8 @@ mod tests {
     #[test]
     fn overwrite_same_key() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![9], FuncId(1));
-        c.insert(vec![9], FuncId(2));
+        c.insert(&[9], FuncId(1));
+        c.insert(&[9], FuncId(2));
         assert_eq!(c.len(), 1);
         assert_eq!(c.lookup(&[9]).value, Some(FuncId(2)));
     }
@@ -545,7 +627,7 @@ mod tests {
     #[test]
     fn probes_are_metered() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![1], FuncId(0));
+        c.insert(&[1], FuncId(0));
         let p = c.lookup(&[1]);
         assert!(p.probes >= 1);
         assert!(c.mean_probes() >= 1.0);
@@ -555,7 +637,7 @@ mod tests {
     #[test]
     fn probe_is_unmetered() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![5], FuncId(1));
+        c.insert(&[5], FuncId(1));
         let before = (c.lookups, c.total_probes);
         assert_eq!(c.probe(&[5]).value, Some(FuncId(1)));
         assert_eq!((c.lookups, c.total_probes), before);
@@ -564,7 +646,7 @@ mod tests {
     #[test]
     fn empty_key_is_a_valid_key() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![], FuncId(3));
+        c.insert(&[], FuncId(3));
         assert_eq!(c.lookup(&[]).value, Some(FuncId(3)));
     }
 
@@ -573,7 +655,7 @@ mod tests {
         let mut c = DoubleHashCache::new();
         // Enough inserts to force several doublings from the initial 16.
         for i in 0..500u64 {
-            c.insert(vec![i, !i], FuncId(i as u32));
+            c.insert(&[i, !i], FuncId(i as u32));
         }
         assert!(c.slots.len() >= 1024, "table did not grow");
         assert_eq!(c.len(), 500);
@@ -591,7 +673,7 @@ mod tests {
         let mut c = DoubleHashCache::new();
         let m = c.slots.len();
         for (i, s) in c.slots.iter_mut().enumerate() {
-            *s = Slot::Full(vec![i as u64 + 1000], FuncId(i as u32));
+            *s = Slot::Full(SlotKey::new(&[i as u64 + 1000]), FuncId(i as u32));
         }
         c.len = m;
         let p = c.lookup(&[7]);
@@ -603,9 +685,37 @@ mod tests {
     fn h2_step_is_odd_for_any_key() {
         for key in [vec![], vec![0u64], vec![1, 2, 3], vec![u64::MAX]] {
             for m in [16usize, 64, 1024] {
-                assert_eq!(DoubleHashCache::<FuncId>::h2(&key, m) % 2, 1);
+                assert_eq!(Fnv::step(&key, Fnv::hash(&key), m) % 2, 1);
+                assert_eq!(Mixed::step(&key, Mixed::hash(&key), m) % 2, 1);
             }
         }
+    }
+
+    #[test]
+    fn inline_and_boxed_keys_are_told_apart_by_length() {
+        // Inline keys are zero-padded: a shorter key must not match a
+        // longer one that pads the same, across the inline/boxed line.
+        let keys: [&[u64]; 6] = [&[], &[0], &[0, 0], &[0, 0, 0], &[7, 8], &[7, 8, 9, 10]];
+        let mut c = DoubleHashCache::new();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(c.insert(k, FuncId(i as u32)), None, "key {k:?}");
+        }
+        // Past several rehashes, which move every key to a new slot.
+        for i in 100..400u64 {
+            c.insert(&[i, i, i], FuncId(i as u32));
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(c.lookup(k).value, Some(FuncId(i as u32)), "key {k:?}");
+        }
+        let mut got: Vec<&[u64]> = c
+            .iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.len() != 3 || k[0] < 100)
+            .collect();
+        got.sort_unstable();
+        let mut want = keys.to_vec();
+        want.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -619,7 +729,7 @@ mod tests {
             }
             CacheEntry::Hit { .. } => panic!("empty cache cannot hit"),
         };
-        c.fill(slot, key.clone(), FuncId(9));
+        c.fill(slot, &key, FuncId(9));
         assert_eq!(c.len(), 1);
         match c.lookup_or_reserve(&key) {
             CacheEntry::Hit { value, .. } => assert_eq!(value, FuncId(9)),
@@ -633,7 +743,7 @@ mod tests {
         let mut c = DoubleHashCache::new();
         for i in 0..1000u64 {
             match c.lookup_or_reserve(&[i]) {
-                CacheEntry::Vacant { slot, .. } => c.fill(slot, vec![i], FuncId(i as u32)),
+                CacheEntry::Vacant { slot, .. } => c.fill(slot, &[i], FuncId(i as u32)),
                 CacheEntry::Hit { .. } => panic!("fresh key hit"),
             }
         }
@@ -650,7 +760,7 @@ mod tests {
     fn grows_past_initial_capacity() {
         let mut c = DoubleHashCache::new();
         for i in 0..1000u64 {
-            c.insert(vec![i], FuncId(i as u32));
+            c.insert(&[i], FuncId(i as u32));
         }
         assert_eq!(c.len(), 1000);
         assert_eq!(c.lookup(&[999]).value, Some(FuncId(999)));
@@ -662,7 +772,7 @@ mod tests {
         // check every survivor is still reachable through the tombstones.
         let mut c = DoubleHashCache::new();
         for i in 0..200u64 {
-            c.insert(vec![i], FuncId(i as u32));
+            c.insert(&[i], FuncId(i as u32));
         }
         for i in (0..200u64).step_by(2) {
             assert_eq!(c.remove(&[i]), Some(FuncId(i as u32)), "remove {i}");
@@ -681,7 +791,7 @@ mod tests {
         // Churn a bounded working set: the table must not grow without
         // bound under insert/remove cycles (tombstones get compacted).
         for round in 0..200u64 {
-            c.insert(vec![round], FuncId(round as u32));
+            c.insert(&[round], FuncId(round as u32));
             if round >= 4 {
                 assert_eq!(c.remove(&[round - 4]), Some(FuncId((round - 4) as u32)));
             }
@@ -701,15 +811,16 @@ mod tests {
         let first = vec![1u64];
         // Brute-force a *different* key whose h1 lands on the same slot,
         // so its probe path starts exactly where the removed entry was.
-        let h = DoubleHashCache::<FuncId>::h1(&first, m);
+        let h1 = |k: &[u64]| Fnv::hash(k) as usize & (m - 1);
+        let h = h1(&first);
         let collider = (2u64..)
             .map(|w| vec![w])
-            .find(|k| DoubleHashCache::<FuncId>::h1(k, m) == h)
+            .find(|k| h1(k) == h)
             .expect("a 16-slot table has colliding single-word keys");
-        c.insert(first.clone(), FuncId(1));
+        c.insert(&first, FuncId(1));
         c.remove(&first);
         assert_eq!((c.len(), c.tombs), (0, 1));
-        c.insert(collider.clone(), FuncId(2));
+        c.insert(&collider, FuncId(2));
         assert_eq!(c.capacity(), m, "colliding insert must not grow the table");
         assert_eq!(
             (c.len(), c.tombs),
@@ -717,7 +828,7 @@ mod tests {
             "the tombstone slot must be reused, not accumulated"
         );
         assert!(
-            matches!(&c.slots[h], Slot::Full(k, _) if *k == collider),
+            matches!(&c.slots[h], Slot::Full(k, _) if k.as_slice() == collider),
             "collider must occupy the removed entry's slot"
         );
         assert_eq!(c.lookup(&collider).value, Some(FuncId(2)));
@@ -727,10 +838,10 @@ mod tests {
     #[test]
     fn reserve_reuses_tombstones() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![1], FuncId(1));
+        c.insert(&[1], FuncId(1));
         c.remove(&[1]);
         match c.lookup_or_reserve(&[1]) {
-            CacheEntry::Vacant { slot, .. } => c.fill(slot, vec![1], FuncId(2)),
+            CacheEntry::Vacant { slot, .. } => c.fill(slot, &[1], FuncId(2)),
             CacheEntry::Hit { .. } => panic!("removed key must miss"),
         }
         assert_eq!(c.lookup(&[1]).value, Some(FuncId(2)));
@@ -740,8 +851,8 @@ mod tests {
     #[test]
     fn clear_keeps_meters_reset_counters_zeroes_them() {
         let mut c = DoubleHashCache::new();
-        c.insert(vec![1], FuncId(1));
-        c.insert(vec![2], FuncId(2));
+        c.insert(&[1], FuncId(1));
+        c.insert(&[2], FuncId(2));
         c.lookup(&[1]);
         c.lookup(&[3]);
         let (lk, tp) = (c.lookups, c.total_probes);
@@ -761,7 +872,7 @@ mod tests {
     fn iter_yields_every_live_entry() {
         let mut c = DoubleHashCache::new();
         for i in 0..10u64 {
-            c.insert(vec![i], FuncId(i as u32));
+            c.insert(&[i], FuncId(i as u32));
         }
         c.remove(&[3]);
         let mut got: Vec<u64> = c.iter().map(|(k, _)| k[0]).collect();

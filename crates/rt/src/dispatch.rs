@@ -219,6 +219,10 @@ pub struct Dispatcher<S> {
     native: NativeEngine,
     /// Reusable cache-key buffer.
     scratch_key: Vec<u64>,
+    /// Pass-through argument buffers of dispatches made by native code,
+    /// one per nesting level (native code a dispatch runs may dispatch
+    /// again), kept between dispatches.
+    native_args: Vec<Vec<Value>>,
     /// Every table a specialization builds, lent to each miss and kept
     /// between misses (see `SpecScratch`).
     spec: SpecScratch,
@@ -265,6 +269,7 @@ impl<S> Dispatcher<S> {
             native_on: cfg.native,
             native: NativeEngine::new(),
             scratch_key: Vec::new(),
+            native_args: Vec::new(),
             spec: SpecScratch::default(),
             retired: Retired::default(),
             miss_hist,
@@ -468,14 +473,16 @@ impl<S> Dispatcher<S> {
         Ok(func)
     }
 
-    /// [`Self::miss`], timed into the miss-path latency histogram and,
-    /// with live telemetry attached, the slot's: miss detection →
-    /// runnable code. Hits never come here, so the warm path reads no
-    /// clock.
-    fn timed_miss(
+    /// Count a dispatch miss whose probe was charged `cost` cycles and
+    /// inspected `probes` slots, and resolve it with [`Self::miss`], timed
+    /// into the miss-path latency histogram and, with live telemetry
+    /// attached, the slot's: miss detection → runnable code. Hits never
+    /// come here, so the warm path reads no clock.
+    fn missed(
         &mut self,
         key: &[u64],
         vacancy: S::Vacancy,
+        (cost, probes): (u64, u64),
         args: &[Value],
         module: &mut Module,
         vm: &mut Vm,
@@ -483,6 +490,8 @@ impl<S> Dispatcher<S> {
     where
         S: CodeStore,
     {
+        vm.stats.dispatch_misses += 1;
+        self.note_key(EventKind::DispatchMiss, key, vm, cost, probes);
         let t0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
         let resolved = self.miss(key, vacancy, args, module, vm);
         if let Some(t0) = t0 {
@@ -629,19 +638,13 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
         self.stats.dispatch_cycles += cost;
         vm.stats.dispatch_cycles += cost;
 
+        // A dispatch notes one dispatch kind, the one it resolved as: a
+        // hit once its code resolves (a stale handle may yet turn it into
+        // a miss), a miss when a probe misses.
+        let mut missed = found.is_none();
         let mut resolved = match found {
-            Some(code) => {
-                if let Some(eng) = self.store.policy() {
-                    eng.note_hit(point);
-                }
-                self.note_key(hit_kind, &key, vm, cost, b);
-                Ok(Resolved::Code(code))
-            }
-            None => {
-                vm.stats.dispatch_misses += 1;
-                self.note_key(EventKind::DispatchMiss, &key, vm, cost, b);
-                self.timed_miss(&key, vacancy, args, module, vm)
-            }
+            Some(code) => Ok(Resolved::Code(code)),
+            None => self.missed(&key, vacancy, (cost, b), args, module, vm),
         };
 
         let cap = out_args.capacity();
@@ -660,14 +663,26 @@ impl<S: CodeStore> DispatchHandler for Dispatcher<S> {
             };
             let Some((func, fresh)) = self.store.resolve(code, module, &mut self.retired) else {
                 // Another thread unbound the code and freed its slot after
-                // this dispatch found it: look the key up again.
+                // this dispatch found it: look the key up again. A dispatch
+                // misses at most once, so one that already missed runs the
+                // generic continuation if the key is gone again.
                 self.note_key(EventKind::FlightStale, &key, vm, 0, 0);
                 resolved = match self.store.probe(lane, &key) {
                     (Some(code), _, _) => Ok(Resolved::Code(code)),
-                    (None, _, vacancy) => self.timed_miss(&key, vacancy, args, module, vm),
+                    (None, _, _) if missed => Ok(Resolved::Generic(self.generic(point, module))),
+                    (None, _, vacancy) => {
+                        missed = true;
+                        self.missed(&key, vacancy, (cost, b), args, module, vm)
+                    }
                 };
                 continue;
             };
+            if !missed {
+                if let Some(eng) = self.store.policy() {
+                    eng.note_hit(point);
+                }
+                self.note_key(hit_kind, &key, vm, cost, b);
+            }
             if fresh {
                 // Another thread's code, first run here: installing it
                 // in this module models the `imb` + install cost the
@@ -703,11 +718,17 @@ impl<S: CodeStore> NativeDispatch for Dispatcher<S> {
         // handler, then either take the completed value (the callee ran
         // natively too) or interpret the specialized function.
         vm.stats.dispatches += 1;
-        let mut out_args = Vec::new();
-        match self.dispatch(point, args, &mut out_args, module, vm)? {
-            DispatchOutcome::Completed { value } => Ok(value),
-            DispatchOutcome::Invoke { func } => vm.call_with_handler(module, self, func, &out_args),
-        }
+        let mut out_args = self.native_args.pop().unwrap_or_default();
+        out_args.clear();
+        let out = match self.dispatch(point, args, &mut out_args, module, vm) {
+            Ok(DispatchOutcome::Completed { value }) => Ok(value),
+            Ok(DispatchOutcome::Invoke { func }) => {
+                vm.call_with_handler(module, self, func, &out_args)
+            }
+            Err(e) => Err(e),
+        };
+        self.native_args.push(out_args);
+        out
     }
 
     fn native_call(

@@ -28,7 +28,7 @@
 //! patching) so Table 3 can attribute where staging saves time.
 
 use crate::costs::DynCosts;
-use crate::fnv::{FNV_OFFSET, FNV_PRIME};
+use crate::fnv;
 use crate::ge_exec::heap_bytes;
 use crate::runtime::Site;
 use crate::stats::RtStats;
@@ -148,15 +148,7 @@ impl UnitKeys {
     /// FNV-1a over the key words, finished with murmur3's `fmix64` so
     /// the low bits the slot mask keeps depend on every word.
     fn hash(key: &[u64]) -> usize {
-        let mut h = FNV_OFFSET;
-        for w in key {
-            h = (h ^ w).wrapping_mul(FNV_PRIME);
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        (h ^ (h >> 33)) as usize
+        fnv::finalized(key) as usize
     }
 
     /// The id of the key `push_key` appends to the arena, and whether it

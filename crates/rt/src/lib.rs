@@ -54,6 +54,7 @@ pub mod ge_exec;
 pub mod native;
 pub mod policy;
 pub mod runtime;
+pub mod shard;
 pub mod specializer;
 pub mod stats;
 

@@ -52,7 +52,7 @@
 //! Per-key counters live in one [`Mutex`]ed map keyed by the full
 //! `[site, key bits...]` cache key and are touched **only on the miss
 //! path** — a cache hit never takes the lock, preserving the warm
-//! dispatch path's one-read-lock/zero-alloc guarantees. Per-site
+//! dispatch path's lock-free, allocation-free cache read. Per-site
 //! meters (hits, specializations, average cost, revivals) are plain
 //! relaxed atomics inside an append-only table guarded by a [`RwLock`]
 //! taken for reading only. Every decision for a given `(site, key)`

@@ -284,10 +284,10 @@ impl CodeStore for LocalStore {
         match &mut self.table.caches[point as usize] {
             CacheState::One(f) => *f = Some(func),
             CacheState::Indexed { slots, overflow } => match slot {
-                Some(s) => overflow.fill(s, words.to_vec(), func),
+                Some(s) => overflow.fill(s, words, func),
                 None => slots[words[0] as usize] = Some(func),
             },
-            CacheState::All(c) => c.fill(reserved(), words.to_vec(), func),
+            CacheState::All(c) => c.fill(reserved(), words, func),
             CacheState::Bounded { cache, evict } => {
                 let ring = ring(&mut evict.clock);
                 if let Some(nc) = grown_cap {
@@ -300,7 +300,7 @@ impl CodeStore for LocalStore {
                     }
                     (old, idx)
                 });
-                cache.fill(reserved(), words.to_vec(), (func, idx));
+                cache.fill(reserved(), words, (func, idx));
                 return (func, evicted);
             }
         }
@@ -374,18 +374,18 @@ impl WarmHost for LocalWarm<'_> {
         let f = self.module.add_func(art.to_func());
         match state {
             CacheState::All(c) => {
-                c.insert(key.clone(), f);
+                c.insert(key, f);
             }
             CacheState::One(slot) => *slot = Some(f),
             CacheState::Indexed { slots, overflow } => match key.as_slice() {
                 [v] if *v < 256 => slots[*v as usize] = Some(f),
                 k => {
-                    overflow.insert(k.to_vec(), f);
+                    overflow.insert(k, f);
                 }
             },
             CacheState::Bounded { cache, evict } => {
                 let (idx, _) = ring(&mut evict.clock).admit(&evict.bits, key);
-                cache.insert(key.clone(), (f, idx));
+                cache.insert(key, (f, idx));
             }
         }
         Some(f)

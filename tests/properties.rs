@@ -194,7 +194,7 @@ fn code_cache_is_a_map() {
             // Interleave lookups and inserts.
             let expected = model.get(key).map(|v| FuncId(*v));
             assert_eq!(cache.lookup(key).value, expected);
-            cache.insert(key.clone(), FuncId(*fid));
+            cache.insert(key, FuncId(*fid));
             model.insert(key.clone(), *fid);
         }
         for (key, fid) in &model {
